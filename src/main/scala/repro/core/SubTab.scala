@@ -11,12 +11,15 @@ import repro.embed.{CellEmbedding, TabularCorpus}
   * corpus, train the cell embedding M : token -> R^gamma.
   *
   * Selection (per display / per query): row-vectors = average of the row's
-  * cell vectors; KMeans into k clusters, take the row nearest each center.
-  * Column-vectors = average over rows of the column's cell vectors; KMeans
+  * cell vectors; k-means into k clusters, take the row nearest each center.
+  * Column-vectors = average over rows of the column's cell vectors; k-means
   * into l − |U*| clusters, take nearest columns, then add the target
-  * columns U*. Selection only touches the cached cell vectors, so query
-  * results get sub-tables without re-training — the paper's headline
-  * interactivity property.
+  * columns U*. Both clusterings run on the driver ([[CentroidSelect]]):
+  * rows are collected once (up to a fixed cap; larger inputs are fitted on a
+  * seeded sample and assigned in one Spark pass), columns need no Spark job.
+  * Selection only touches the cached cell vectors, so query results get
+  * sub-tables without re-training — the paper's headline interactivity
+  * property.
   */
 object SubTab {
 
@@ -92,7 +95,7 @@ object SubTab {
         (view, qCols)
     }
 
-  /** Row-vectors (avg of cell vectors) -> KMeans -> nearest-row centroids.
+  /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids.
     * Public because row selection is independent of the column count l, so
     * harnesses sweeping sub-table widths reuse one row selection.
     */
@@ -123,7 +126,7 @@ object SubTab {
   }
 
   /** Column-vectors (avg over rows of the column's cell vectors, i.e. the
-    * token-frequency-weighted mean) -> KMeans into l − |U*| -> nearest
+    * token-frequency-weighted mean) -> k-means into l − |U*| -> nearest
     * columns, plus the targets.
     */
   def colsByCentroids(model: Model, binnedQ: DataFrame,
@@ -143,7 +146,8 @@ object SubTab {
 
   /** Column-vectors: token-frequency-weighted mean of the column's cell
     * vectors (Alg. 2 line 14, computed from one (position, token)-frequency
-    * pass instead of a per-column scan).
+    * pass instead of a per-column scan). Each column's tokens are summed in
+    * token order, so the vectors do not depend on the frame's partitioning.
     */
   def columnVectors(model: Model, binnedQ: DataFrame,
                     cols: Seq[String]): Seq[(String, Array[Float])] = {
@@ -152,7 +156,7 @@ object SubTab {
       .groupBy("pos", "tok").count()
       .collect()
       .groupBy(_.getInt(0))
-      .view.mapValues(_.map(r => (r.getString(1), r.getLong(2)))).toMap
+      .view.mapValues(_.map(r => (r.getString(1), r.getLong(2))).sortBy(_._1)).toMap
     val dim = model.cellVecs.vectorSize
     cols.indices.map { i =>
       val acc = new Array[Double](dim)
@@ -166,7 +170,7 @@ object SubTab {
       val out = new Array[Float](dim)
       if (total > 0) { var d = 0; while (d < dim) { out(d) = (acc(d) / total).toFloat; d += 1 } }
       // L2-normalize: column similarity in embedding space is directional
-      // (spherical KMeans, the standard for word-embedding clustering);
+      // (spherical k-means, the standard for word-embedding clustering);
       // without it, near-duplicate columns (e.g. FL's jointly-null delay
       // breakdown) differ by magnitude and get split across clusters.
       var norm = 0.0

@@ -39,10 +39,10 @@ final case class Ctx(
 
 object Ctx {
 
-  /** Bench-scale SubTab parameters: multi-partition Word2Vec (8×) with a
-    * narrower window and fewer epochs so that a full bench pass over six
-    * datasets stays interactive. Unit tests keep the deterministic
-    * single-partition defaults.
+  /** Bench-scale SubTab parameters: Word2Vec with a narrower window and
+    * fewer epochs so that a full bench pass over six datasets stays
+    * interactive. It stays single-partition, the only setting in which MLlib
+    * Word2Vec is deterministic, so bench sub-tables are reproducible.
     */
   val BenchSubTab: SubTab.Params = SubTab.Params(
     embed = repro.embed.CellEmbedding.Params(

@@ -9,12 +9,13 @@ import repro.core.{CentroidSelect, SubTable, Tables}
 /** NC baseline (paper §6.1 baseline 2): cluster directly on the RAW table,
   * "one-hot encoding categorical and textual columns to be continuous",
   * with no embedding, binning or scaling. Numeric columns keep their raw
-  * magnitudes, so KMeans distances are dominated by large-scale columns
+  * magnitudes, so k-means distances are dominated by large-scale columns
   * (e.g. DISTANCE ~ thousands vs rates ~ [0,1]) — which is exactly why the
   * paper finds NC's sub-tables unrepresentative. Rows are clustered into k;
   * columns are clustered "analogously": each column is represented by its
   * raw value vector over a fixed row sample (categoricals label-encoded)
-  * and KMeans-clustered into l − |U*|.
+  * and k-means-clustered into l − |U*| (the same driver-side clusterer as
+  * SubTab, [[CentroidSelect]]).
   *
   * Row and column selection are exposed separately (row selection does not
   * depend on the width l, which the Fig. 6 width sweep exploits).
@@ -24,7 +25,7 @@ object NaiveClustering {
   /** Sample size for the column-as-vector representation. */
   private val ColSampleRows = 256
 
-  /** Raw one-hot row vectors -> KMeans(k) -> nearest-row centroids.
+  /** Raw one-hot row vectors -> k-means(k) -> nearest-row centroids.
     * `df` is the ORIGINAL table (with `__rid`), not the binned one.
     */
   def selectRows(df: DataFrame, cols: Seq[String], k: Int, seed: Long = 29): Seq[Long] = {
@@ -66,7 +67,7 @@ object NaiveClustering {
     CentroidSelect.selectRows(rowVecs, k, seed)
   }
 
-  /** Columns as raw value vectors over a row sample -> KMeans(l − |U*|). */
+  /** Columns as raw value vectors over a row sample -> k-means(l − |U*|). */
   def selectCols(df: DataFrame, cols: Seq[String], l: Int,
                  targets: Seq[String] = Nil, seed: Long = 29): Seq[String] = {
     val spark = df.sparkSession

@@ -103,6 +103,36 @@ class SubTabSpec extends SparkSpec {
     assert(mat.select(Tables.Rid).collect().map(_.getLong(0)).toSeq == sub.rowIds.sorted)
   }
 
+  test("an empty query result gives no rows and min(l, |qCols|) columns with the targets") {
+    val q = (d: org.apache.spark.sql.DataFrame) => d.where(lit(false))
+    val sub = SubTab.select(model, Some(q), k = 5, l = 4, Seq("attack_type"))
+    assert(sub.rowIds.isEmpty)
+    assert(sub.cols.size == math.min(4, model.cols.size) && sub.cols.contains("attack_type"))
+    assert(sub.cols.distinct.size == sub.cols.size && sub.cols.forall(model.cols.contains))
+  }
+
+  test("a query result with fewer rows than k returns all of them") {
+    val q = (d: org.apache.spark.sql.DataFrame) => d.where(col(Tables.Rid) < 3)
+    val sub = SubTab.select(model, Some(q), k = 8, l = 4, Nil)
+    assert(sub.rowIds.sorted == Seq(0L, 1L, 2L))
+  }
+
+  test("l larger than the number of columns returns every column") {
+    val sub = SubTab.select(model, k = 4, l = model.cols.size + 5)
+    assert(sub.cols == model.cols)
+  }
+
+  test("the same seed gives the same sub-table after repartitioning the binned frame") {
+    val binned8 = model.binned.repartition(8).cache()
+    val m8 = new SubTab.Model(model.original, model.binModel, binned8, model.cols,
+      model.cellVecs, model.params)
+    val q = (d: org.apache.spark.sql.DataFrame) => d.where(col("protocol") === "UDP")
+    assert(SubTab.select(m8, k = 7, l = 5) == SubTab.select(model, k = 7, l = 5))
+    assert(SubTab.select(m8, Some(q), 6, 4, Seq("severity")) ==
+      SubTab.select(model, Some(q), 6, 4, Seq("severity")))
+    binned8.unpersist()
+  }
+
   test("SynthTable constant pattern cells land in a single bin") {
     // Regression: planted numeric cells are points so equi-depth edges can
     // never split a pattern across bins.
