@@ -4,8 +4,9 @@ import repro.core._
 import repro.data.Datasets
 import repro.exp.{Algos, Ctx, Experiments}
 
-/** Development diagnostics: rule-set shape, upcov, per-algorithm chosen
-  * columns and covered rules. Not part of the reproduced exhibits.
+/** Development diagnostics: rule-set shape (rules and their distinct
+  * itemsets), upcov, per-algorithm chosen columns and covered rules. Not
+  * part of the reproduced exhibits.
   */
 object DebugQuality {
   def main(args: Array[String]): Unit = {
@@ -22,8 +23,9 @@ object DebugQuality {
     val ctx = Ctx.prepare(spark, dm,
       if (bench) Ctx.BenchSubTab else repro.core.SubTab.Params())
     val n = ctx.model.original.count()
-    println(s"dataset=${ctx.name} n=$n m=${ctx.cols.size} rules=${ctx.rules.size} " +
-      s"upcov=${ctx.upcov} (total cells=${n * ctx.cols.size})")
+    println(s"dataset=${ctx.name} n=$n m=${ctx.cols.size} " +
+      s"rules=${ctx.rules.size} -> ${ctx.scorer.itemsets.length} distinct itemsets " +
+      s"upcov=${ctx.scorer.upcov} (total cells=${n * ctx.cols.size})")
     val ruleCols = ctx.rules.flatMap(_.columns).distinct.sorted
     println(s"columns used by rules (${ruleCols.size}): ${ruleCols.mkString(", ")}")
     println("top rules by support:")

@@ -12,10 +12,14 @@ import repro.rules.Rule
   *   sub-table rows (similar = same bin, i.e. same token);
   * - combined score (Eq. 3): α·cellCov + (1−α)·divers.
   *
-  * Coverage is a single Spark pass per evaluation: the (small) rule set is
-  * broadcast, each row computes the set of its columns touched by a matching
-  * rule, and the cell counts are summed. The sub-table side (which rules are
-  * covered) is driver-side — sub-tables are k×l with k,l ≈ 10.
+  * Both cell(R,T) and whether a sub-table covers R depend only on R's
+  * itemset lhs ∪ rhs, so coverage works on the distinct itemsets of the rule
+  * set. The sub-table side (which itemsets are covered) is decided on the
+  * driver — sub-tables are k×l with k,l ≈ 10 — and one Spark pass then
+  * counts both unions: the (small) itemset list is shipped with the task,
+  * each row computes the sets of its columns touched by any and by a covered
+  * itemset, and the two cell counts are summed. An exact score is two Spark
+  * actions: one collect of the sub-table's tokens and that pass.
   */
 object Metrics {
 
@@ -31,37 +35,53 @@ object Metrics {
 
   /** |union over `rules` of cell(R,T)| — the number of cells of the binned
     * table described by at least one of the given rules. One distributed
-    * pass; cost O(rows × rules).
+    * pass; cost O(rows × distinct itemsets).
     */
-  def describedCellCount(binned: DataFrame, cols: Seq[String], rules: Seq[Rule]): Long = {
+  def describedCellCount(binned: DataFrame, cols: Seq[String], rules: Seq[Rule]): Long =
+    cellCounts(binned, cols, rules.map(_.items).distinct, Set.empty)._1
+
+  /** One pass over the binned table: (cells described by any of `itemsets`,
+    * cells described by the itemsets in `covered`).
+    */
+  private def cellCounts(binned: DataFrame, cols: Seq[String], itemsets: Seq[Vector[String]],
+                         covered: Set[Vector[String]]): (Long, Long) = {
     import binned.sparkSession.implicits._
-    if (rules.isEmpty) return 0L
+    if (itemsets.isEmpty) return (0L, 0L)
     val colIdx = cols.zipWithIndex.toMap
-    // Per rule: parallel arrays of (column index, required token).
-    val compiled: Array[(Array[Int], Array[String])] = rules.iterator.map { r =>
-      val idx = r.items.map(t => colIdx(Binning.tokenCol(t))).toArray
-      (idx, r.items.toArray)
+    // Per itemset: (column indices, required tokens, covered?).
+    val compiled: Array[(Array[Int], Array[String], Boolean)] = itemsets.iterator.map { items =>
+      (items.map(t => colIdx(Binning.tokenCol(t))).toArray, items.toArray, covered(items))
     }.toArray
     val ds = binned.select(array(cols.map(col): _*).as("toks")).as[Seq[String]]
     val perPartition = ds.mapPartitions { it =>
-      var total = 0L
-      val covered = new java.util.BitSet(cols.size)
+      var described = 0L
+      var coveredCells = 0L
+      val any = new java.util.BitSet(cols.size)
+      val cov = new java.util.BitSet(cols.size)
       it.foreach { toksSeq =>
         val toks = toksSeq.toArray
-        covered.clear()
+        any.clear(); cov.clear()
         var ri = 0
         while (ri < compiled.length) {
-          val (idxs, items) = compiled(ri)
+          val (idxs, items, isCovered) = compiled(ri)
           var j = 0; var ok = true
           while (ok && j < idxs.length) { ok = toks(idxs(j)) == items(j); j += 1 }
-          if (ok) { var j2 = 0; while (j2 < idxs.length) { covered.set(idxs(j2)); j2 += 1 } }
+          if (ok) {
+            var j2 = 0
+            while (j2 < idxs.length) {
+              any.set(idxs(j2))
+              if (isCovered) cov.set(idxs(j2))
+              j2 += 1
+            }
+          }
           ri += 1
         }
-        total += covered.cardinality()
+        described += any.cardinality()
+        coveredCells += cov.cardinality()
       }
-      Iterator.single(total)
+      Iterator.single((described, coveredCells))
     }
-    perPartition.reduce(_ + _)
+    perPartition.reduce((a, b) => (a._1 + b._1, a._2 + b._2))
   }
 
   /** Binned rows of the sub-table as aligned token vectors over `sub.cols`
@@ -71,18 +91,24 @@ object Metrics {
     Tables.materialize(binned, sub).collect()
       .map(r => sub.cols.indices.map(i => r.getString(i + 1))).toSeq
 
+  /** Covered cells over upcov; vacuously 1 when no rule describes any cell. */
+  def coverageRatio(coveredCells: Long, upcov: Long): Double =
+    if (upcov == 0L) 1.0 else coveredCells.toDouble / upcov
+
   /** Cell coverage of a sub-table w.r.t. the (already target-filtered) rule
     * set. If no rule describes any cell (upcov = 0) coverage is vacuously 1.
     */
   def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
-                   sub: SubTable): Double = {
-    val up = describedCellCount(binned, cols, rules)
-    if (up == 0L) 1.0
-    else {
-      val subRows = subTableTokens(binned, sub).map(_.toSet)
-      val cov = coveredRules(rules, subRows, sub.cols.toSet)
-      describedCellCount(binned, cols, cov).toDouble / up
-    }
+                   sub: SubTable): Double =
+    cellCoverage(binned, cols, rules, sub.cols, subTableTokens(binned, sub))
+
+  /** Cell coverage given the sub-table's collected tokens over `subCols`. */
+  private def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
+                           subCols: Seq[String], subRows: Seq[Seq[String]]): Double = {
+    val itemsets = rules.distinctBy(_.items)
+    val covered = coveredRules(itemsets, subRows.map(_.toSet), subCols.toSet).map(_.items)
+    val (upcov, coveredCells) = cellCounts(binned, cols, itemsets.map(_.items), covered.toSet)
+    coverageRatio(coveredCells, upcov)
   }
 
   /** Pairwise Jaccard-like similarity (Def. 3.7): fraction of columns on
@@ -113,23 +139,18 @@ object Metrics {
     }
   }
 
-  /** Diversity of a sub-table measured on its binned rows. */
-  def diversity(binned: DataFrame, sub: SubTable): Double =
-    diversity(subTableTokens(binned, sub))
-
-  /** Combined score (Eq. 3) over a target-filtered rule set. */
-  def combined(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
-               sub: SubTable, alpha: Double = 0.5): Double =
-    alpha * cellCoverage(binned, cols, rules, sub) +
-      (1 - alpha) * diversity(binned, sub)
-
-  /** All three scores at once (coverage shares the upcov pass). */
+  /** Cell coverage, diversity and the combined score (Eq. 3). */
   final case class Scores(cellCov: Double, divers: Double, combined: Double)
 
+  /** Exact scores of a sub-table over a target-filtered rule set: one
+    * collect of the sub-table's tokens, shared by coverage and diversity,
+    * and one coverage pass.
+    */
   def scores(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
              sub: SubTable, alpha: Double = 0.5): Scores = {
-    val cc = cellCoverage(binned, cols, rules, sub)
-    val dv = diversity(binned, sub)
+    val subRows = subTableTokens(binned, sub)
+    val cc = cellCoverage(binned, cols, rules, sub.cols, subRows)
+    val dv = diversity(subRows)
     Scores(cc, dv, alpha * cc + (1 - alpha) * dv)
   }
 }

@@ -36,8 +36,11 @@ object BinnedMatrix {
   * Mirrors [[Metrics]] exactly (property-tested for equality) but answers a
   * `combined` evaluation in microseconds-to-milliseconds:
   *   - tokens are interned to dense int codes,
-  *   - each rule is compiled to (columnIdx, code) pairs plus the sorted array
-  *     of row indices it holds for,
+  *   - the rules are reduced to their distinct itemsets lhs ∪ rhs: every
+  *     split of one itemset describes the same cells and is covered by the
+  *     same sub-tables (Def. 3.6), so coverage is a function of itemsets,
+  *   - each itemset is compiled to (columnIdx, code) pairs plus the sorted
+  *     array of row indices it holds for,
   *   - coverage unions are taken in a scratch bitset over the n×m cell grid.
   */
 final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double = 0.5) {
@@ -56,9 +59,11 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   private val codes: Array[Array[Int]] =
     mat.rows.map(r => r.map(codeOf))
 
-  /** Compiled rule: columns (indices), required codes, matching row indices. */
-  final case class CompiledRule(rule: Rule, colIdxs: Array[Int], reqCodes: Array[Int],
-                                matchRows: Array[Int]) {
+  /** Compiled itemset: its items, their columns (indices) and required
+    * codes, and the rows it holds for.
+    */
+  final case class CompiledItemset(items: Vector[String], colIdxs: Array[Int],
+                                   reqCodes: Array[Int], matchRows: Array[Int]) {
     def holdsForRow(row: Int): Boolean = {
       var j = 0
       while (j < colIdxs.length) {
@@ -69,12 +74,12 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
     }
   }
 
-  val rules: Array[CompiledRule] = allRules.iterator.map { r =>
-    val idxs = r.items.map(t => colIdx(Binning.tokenCol(t))).toArray
-    val req = r.items.map(t => dict.getOrDefault(t, -1)).toArray
-    val cr0 = (idxs, req)
+  /** The distinct itemsets of the rules, in order of first occurrence. */
+  val itemsets: Array[CompiledItemset] = allRules.iterator.map(_.items).distinct.map { items =>
+    val idxs = items.map(t => colIdx(Binning.tokenCol(t))).toArray
+    val req = items.map(t => dict.getOrDefault(t, -1)).toArray
     val matches =
-      if (req.contains(-1)) Array.empty[Int] // token never occurs -> rule holds nowhere
+      if (req.contains(-1)) Array.empty[Int] // token never occurs -> holds nowhere
       else {
         val b = Array.newBuilder[Int]
         var i = 0
@@ -86,14 +91,14 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
         }
         b.result()
       }
-    CompiledRule(r, cr0._1, cr0._2, matches)
+    CompiledItemset(items, idxs, req, matches)
   }.toArray
 
   /** Scratch bitset over the n×m cell grid, reused across evaluations. */
   private val scratch = new java.util.BitSet(n * m)
 
-  /** Union cell count over an iterator of compiled rules. */
-  private def unionCellCount(rs: Iterator[CompiledRule]): Long = {
+  /** Union cell count over an iterator of compiled itemsets. */
+  private def unionCellCount(rs: Iterator[CompiledItemset]): Long = {
     scratch.clear()
     rs.foreach { cr =>
       var i = 0
@@ -108,11 +113,11 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   }
 
   /** upcov: cells described by any rule at all. */
-  val upcov: Long = unionCellCount(rules.iterator)
+  val upcov: Long = unionCellCount(itemsets.iterator)
 
-  /** Which compiled rules does a (rowIdxs, colIdxs) sub-table cover? */
-  def covered(rowIdxs: Array[Int], colIdxSet: ColSet): Array[CompiledRule] =
-    rules.filter { cr =>
+  /** Which compiled itemsets does a (rowIdxs, colIdxs) sub-table cover? */
+  def covered(rowIdxs: Array[Int], colIdxSet: ColSet): Array[CompiledItemset] =
+    itemsets.filter { cr =>
       allColsIn(cr.colIdxs, colIdxSet) && rowIdxs.exists(cr.holdsForRow)
     }
 
@@ -120,8 +125,7 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
     * matrix. Vacuously 1 when upcov = 0 (mirrors [[Metrics.cellCoverage]]).
     */
   def cellCov(rowIdxs: Array[Int], colIdxs: Array[Int]): Double =
-    if (upcov == 0L) 1.0
-    else unionCellCount(covered(rowIdxs, ColSet(colIdxs, m)).iterator).toDouble / upcov
+    Metrics.coverageRatio(unionCellCount(covered(rowIdxs, ColSet(colIdxs, m)).iterator), upcov)
 
   /** Diversity over matrix indices. */
   def diversity(rowIdxs: Array[Int], colIdxs: Array[Int]): Double = {

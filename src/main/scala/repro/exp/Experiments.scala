@@ -272,17 +272,6 @@ object Experiments {
       val subs: Seq[(String, SubTable)] =
         Algos.Interactive.map(a => a -> Algos.run(ctx, a, K, widthFor(ctx.cols.size)))
 
-      def evalCov(rules: Seq[Rule], binned: org.apache.spark.sql.DataFrame,
-                  cols: Seq[String], sub: SubTable): Double = {
-        val up = Metrics.describedCellCount(binned, cols, rules)
-        if (up == 0L) 1.0
-        else {
-          val subRows = Metrics.subTableTokens(binned, sub).map(_.toSet)
-          val cov = Metrics.coveredRules(rules, subRows, sub.cols.toSet)
-          Metrics.describedCellCount(binned, cols, cov).toDouble / up
-        }
-      }
-
       // -- #bins sweep: re-bin + re-mine per bin count --------------------
       bins.foreach { b =>
         val (bm, binnedB) =
@@ -292,7 +281,7 @@ object Experiments {
         val rules = Rule.targetFilter(
           Apriori.mine(cached, bm.cols), ctx.meta.targets.toSet)
         subs.foreach { case (a, sub) =>
-          acc(("bins", b.toString, a)) += evalCov(rules, cached, bm.cols, sub)
+          acc(("bins", b.toString, a)) += Metrics.cellCoverage(cached, bm.cols, rules, sub)
         }
         if (!(cached eq ctx.binned)) cached.unpersist()
         ()
@@ -306,14 +295,14 @@ object Experiments {
         val rules = Rule.targetFilter(
           Apriori.rulesFrom(kept, Apriori.Params(minSupport = s)), ctx.meta.targets.toSet)
         subs.foreach { case (a, sub) =>
-          acc(("support", s.toString, a)) += evalCov(rules, ctx.binned, ctx.cols, sub)
+          acc(("support", s.toString, a)) += Metrics.cellCoverage(ctx.binned, ctx.cols, rules, sub)
         }
       }
       confidences.foreach { c =>
         val rules = Rule.targetFilter(
           Apriori.rulesFrom(freq, Apriori.Params(minConfidence = c)), ctx.meta.targets.toSet)
         subs.foreach { case (a, sub) =>
-          acc(("confidence", c.toString, a)) += evalCov(rules, ctx.binned, ctx.cols, sub)
+          acc(("confidence", c.toString, a)) += Metrics.cellCoverage(ctx.binned, ctx.cols, rules, sub)
         }
       }
       ctx.model.unpersist()

@@ -17,24 +17,14 @@ final case class Ctx(
     model: SubTab.Model,
     rules: Seq[Rule],      // R* — target-filtered
     scorer: Scorer,
-    upcov: Long,           // |cells described by any rule of R*| over full T
     prepMillis: Long,      // SubTab pre-processing time (binning + embedding)
 ) {
   def binned: DataFrame = model.binned
   def cols: Seq[String] = model.cols
 
   /** Distributed (exact, full-table) scores for a sub-table. */
-  def scores(sub: SubTable, alpha: Double = 0.5): Metrics.Scores = {
-    val cc =
-      if (upcov == 0L) 1.0
-      else {
-        val subRows = Metrics.subTableTokens(binned, sub).map(_.toSet)
-        val cov = Metrics.coveredRules(rules, subRows, sub.cols.toSet)
-        Metrics.describedCellCount(binned, cols, cov).toDouble / upcov
-      }
-    val dv = Metrics.diversity(binned, sub)
-    Metrics.Scores(cc, dv, alpha * cc + (1 - alpha) * dv)
-  }
+  def scores(sub: SubTable, alpha: Double = 0.5): Metrics.Scores =
+    Metrics.scores(binned, cols, rules, sub, alpha)
 }
 
 object Ctx {
@@ -66,8 +56,7 @@ object Ctx {
     val rules = Rule.targetFilter(rulesAll, meta.targets.toSet)
     val mat = BinnedMatrix.collect(model.binned, model.cols)
     val scorer = new Scorer(mat, rules)
-    val upcov = Metrics.describedCellCount(model.binned, model.cols, rules)
-    Ctx(meta.name, meta, model, rules, scorer, upcov, prepMs)
+    Ctx(meta.name, meta, model, rules, scorer, prepMs)
   }
 }
 

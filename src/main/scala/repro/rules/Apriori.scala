@@ -99,28 +99,7 @@ object Apriori {
         val candidates = genCandidates(level)
         if (candidates.isEmpty) { level = Array.empty }
         else {
-          val candB = binned.sparkSession.sparkContext.broadcast(candidates)
-          val counts: Array[Long] = coded.mapPartitions { it =>
-            val cands = candB.value
-            val local = new Array[Long](cands.length)
-            val present = new java.util.BitSet(names.length)
-            it.foreach { row =>
-              present.clear()
-              row.foreach(present.set)
-              var i = 0
-              while (i < cands.length) {
-                val c = cands(i)
-                var j = 0
-                var ok = true
-                while (ok && j < c.length) { ok = present.get(c(j)); j += 1 }
-                if (ok) local(i) += 1
-                i += 1
-              }
-            }
-            Iterator.single(local)
-          }.reduce { (a, b) =>
-            var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a
-          }
+          val counts = countCandidates(coded, candidates, names.length)
           val next = mutable.ArrayBuffer[Array[Int]]()
           candidates.indices.foreach { i =>
             if (counts(i) >= minCount) {
@@ -128,7 +107,6 @@ object Apriori {
               all += Itemset(candidates(i).toVector.map(names), counts(i))
             }
           }
-          candB.destroy()
           level = next.toArray
         }
         k += 1
@@ -213,16 +191,31 @@ object Apriori {
     val tokens = canon.flatten.distinct.sorted.toArray
     val dict = tokens.zipWithIndex.toMap
     val cands: Array[Array[Int]] = canon.map(_.map(dict).toArray.sorted).toArray
-    val ds = binned.select(array(cols.map(col): _*).as("toks")).as[Seq[String]]
-    val counts = ds.mapPartitions { it =>
-      val local = new Array[Long](cands.length)
-      val present = new java.util.BitSet(tokens.length)
-      it.foreach { toks =>
+    // Rows as ids of the candidates' tokens; other tokens cannot matter.
+    val coded = binned.select(array(cols.map(col): _*).as("toks")).as[Seq[String]]
+      .map(_.iterator.flatMap(dict.get).toArray)
+    canon.zip(countCandidates(coded, cands, tokens.length)).toMap
+  }
+
+  /** Support counting, one pass: for each candidate (sorted token ids), the
+    * number of rows (token ids in `[0, nTokens)`) that contain all of it.
+    * The candidates are broadcast and each partition accumulates a local
+    * count vector over a per-row bitset of present tokens.
+    */
+  private def countCandidates(rows: Dataset[Array[Int]], cands: Array[Array[Int]],
+                              nTokens: Int): Array[Long] = {
+    import rows.sparkSession.implicits._
+    val candB = rows.sparkSession.sparkContext.broadcast(cands)
+    try rows.mapPartitions { it =>
+      val cs = candB.value
+      val local = new Array[Long](cs.length)
+      val present = new java.util.BitSet(nTokens)
+      it.foreach { row =>
         present.clear()
-        toks.foreach(t => dict.get(t).foreach(present.set))
+        row.foreach(present.set)
         var i = 0
-        while (i < cands.length) {
-          val c = cands(i)
+        while (i < cs.length) {
+          val c = cs(i)
           var j = 0; var ok = true
           while (ok && j < c.length) { ok = present.get(c(j)); j += 1 }
           if (ok) local(i) += 1
@@ -231,6 +224,6 @@ object Apriori {
       }
       Iterator.single(local)
     }.reduce { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a }
-    canon.zip(counts).toMap
+    finally candB.destroy()
   }
 }

@@ -1,6 +1,6 @@
 package repro.select
 
-import repro.core.{Scorer, SubTable}
+import repro.core.{Metrics, Scorer, SubTable}
 import repro.core.Scorer.ColSet
 
 import scala.collection.mutable
@@ -18,8 +18,10 @@ import scala.util.Random
   * column subset (Prop. 4.3).
   *
   * The inner loop is heavily optimized but *exact*: rows are grouped by
-  * their signature of applicable-and-uncovered rules, so each greedy step
+  * their signature of applicable-and-uncovered itemsets, so each greedy step
   * evaluates one marginal gain per distinct signature rather than per row.
+  * All rules of one itemset hold for the same rows and are covered
+  * together, so grouping by itemsets gives the same rows as by rules.
   */
 object Greedy {
 
@@ -69,14 +71,12 @@ object Greedy {
     val n = scorer.n
     val m = scorer.m
     val colSet = ColSet(colIdxs, m)
-    // Applicable rules: all columns inside the chosen subset.
-    val applicable = scorer.rules.zipWithIndex.filter { case (cr, _) =>
-      cr.colIdxs.forall(colSet.contains)
-    }
-    // row -> applicable rule ids that hold for it
+    // Applicable itemsets: all columns inside the chosen subset.
+    val applicable = scorer.itemsets.filter(_.colIdxs.forall(colSet.contains))
+    // row -> applicable itemset ids that hold for it
     val rowRules: Array[mutable.ArrayBuffer[Int]] =
       Array.fill(n)(null.asInstanceOf[mutable.ArrayBuffer[Int]])
-    applicable.zipWithIndex.foreach { case ((cr, _), aid) =>
+    applicable.zipWithIndex.foreach { case (cr, aid) =>
       cr.matchRows.foreach { r =>
         if (rowRules(r) == null) rowRules(r) = mutable.ArrayBuffer[Int]()
         rowRules(r) += aid
@@ -95,7 +95,7 @@ object Greedy {
       var gain = 0L
       tmpBits.clear()
       ruleIds.foreach { aid =>
-        val cr = applicable(aid)._1
+        val cr = applicable(aid)
         var i = 0
         while (i < cr.matchRows.length) {
           val base = cr.matchRows(i) * m
@@ -114,7 +114,7 @@ object Greedy {
 
     var step = 0
     while (step < math.min(k, n)) {
-      // Group candidate rows by their uncovered-rule signature.
+      // Group candidate rows by their uncovered-itemset signature.
       val bySig = mutable.LinkedHashMap[Seq[Int], Int]() // signature -> first row
       var r = 0
       while (r < n) {
@@ -142,7 +142,7 @@ object Greedy {
       pickedSet(bestRow) = true
       bestSig.foreach { aid =>
         coveredRules(aid) = true
-        val cr = applicable(aid)._1
+        val cr = applicable(aid)
         var i = 0
         while (i < cr.matchRows.length) {
           val base = cr.matchRows(i) * m
@@ -157,7 +157,6 @@ object Greedy {
       }
       step += 1
     }
-    val cov = if (scorer.upcov == 0L) 1.0 else coveredCount.toDouble / scorer.upcov
-    (picked.toArray.sorted, cov)
+    (picked.toArray.sorted, Metrics.coverageRatio(coveredCount, scorer.upcov))
   }
 }

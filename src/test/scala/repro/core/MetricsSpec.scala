@@ -90,20 +90,20 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("diversity of T̂(1) is 0.83 (Example 3.8)") {
-    val d = Metrics.diversity(binned, t1)
+    val d = Metrics.scores(binned, cols, rules, t1).divers
     assert(math.abs(d - (1.0 - (0.25 + 0.0 + 0.25) / 3)) < 1e-9)
     assert(math.abs(d - 0.8333) < 0.001)
   }
 
   test("diversity of T̂(3) is 0.92 (Example 3.8)") {
-    val d = Metrics.diversity(binned, t3)
+    val d = Metrics.scores(binned, cols, rules, t3).divers
     assert(math.abs(d - (1.0 - 0.25 / 3)) < 1e-9)
     assert(math.abs(d - 0.9167) < 0.001)
   }
 
   test("combined scores are 0.80 for T̂(1) and 0.79 for T̂(3) (Example 3.9)") {
-    val s1 = Metrics.combined(binned, cols, rules, t1)
-    val s3 = Metrics.combined(binned, cols, rules, t3)
+    val s1 = Metrics.scores(binned, cols, rules, t1).combined
+    val s3 = Metrics.scores(binned, cols, rules, t3).combined
     assert(math.abs(s1 - (0.5 * 28 / 36 + 0.5 * 0.83333)) < 1e-3)
     assert(math.abs(s3 - (0.5 * 24 / 36 + 0.5 * 0.91667)) < 1e-3)
     assert(s1 > s3) // T̂(1) is the optimal sub-table in the example

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.rules.Rule
+import repro.select.Greedy
 
 import scala.util.Random
 
@@ -54,6 +55,72 @@ class ScorerSpec extends SparkSpec {
     }
   }
 
+  /** A random case whose R* holds every valid lhs/rhs split of each of a few
+    * random itemsets, shuffled, and the same R* cut to one rule per itemset.
+    */
+  def allSplitsCase(seed: Int): (DataFrame, Seq[(Long, Seq[String])], Seq[Rule], Seq[Rule]) = {
+    val (df, rows, _) = randomCase(seed)
+    val rng = new Random(seed + 200)
+    val itemsets = Seq.fill(6) {
+      val rcols = rng.shuffle(cols).take(2 + rng.nextInt(3))
+      // Half the items come from one existing row, so most itemsets hold somewhere.
+      val row = rows(rng.nextInt(rows.size))._2
+      rcols.map(c =>
+        if (rng.nextBoolean()) row(cols.indexOf(c)) else Binning.token(c, "v" + rng.nextInt(3)))
+    }.distinctBy(_.toSet)
+    val allSplits = itemsets.flatMap { items =>
+      (1 until (1 << items.size) - 1).map { mask =>
+        val (lhs, rhs) = items.indices.partition(i => (mask & (1 << i)) != 0)
+        Rule(lhs.map(items), rhs.map(items), 0.1, 0.6)
+      }
+    }
+    val shuffled = rng.shuffle(allSplits)
+    (df, rows, shuffled, shuffled.distinctBy(_.items))
+  }
+
+  /** Cells (row index, column) described by the rules, taken rule by rule. */
+  def naiveCells(rows: Seq[(Long, Seq[String])], rules: Seq[Rule]): Set[(Int, String)] =
+    rules.flatMap { r =>
+      rows.indices.filter(i => r.holdsFor(rows(i)._2.toSet)).flatMap(i => r.columns.map(i -> _))
+    }.toSet
+
+  test("coverage over every split of each itemset equals one rule per itemset and a rule-by-rule reference") {
+    var partial = 0
+    (1 to 4).foreach { seed =>
+      val (df, rows, allSplits, onePer) = allSplitsCase(seed)
+      assert(allSplits.size > onePer.size)
+      val mat = BinnedMatrix.collect(df, cols)
+      val sAll = new Scorer(mat, allSplits)
+      val sOne = new Scorer(mat, onePer)
+      assert(sAll.itemsets.map(_.items).toSeq == onePer.map(_.items))
+      val up = naiveCells(rows, allSplits).size.toLong
+      assert(sAll.upcov == up && sOne.upcov == up, s"seed=$seed")
+      assert(Metrics.describedCellCount(df, cols, allSplits) == up)
+      assert(Metrics.describedCellCount(df, cols, onePer) == up)
+      val rng = new Random(seed + 300)
+      (1 to 4).foreach { _ =>
+        val rowIdxs = rng.shuffle(rows.indices.toList).take(1 + rng.nextInt(5)).sorted.toArray
+        val colIdxs = rng.shuffle(cols.indices.toList).take(2 + rng.nextInt(3)).sorted.toArray
+        val sub = sAll.toSubTable(rowIdxs, colIdxs)
+        val subRows = rowIdxs.toSeq.map(i => rows(i)._2.toSet)
+        val covered = allSplits.filter(r =>
+          r.columns.subsetOf(sub.cols.toSet) && subRows.exists(r.holdsFor))
+        val cov = if (up == 0L) 1.0 else naiveCells(rows, covered).size.toDouble / up
+        if (cov > 0 && cov < 1) partial += 1
+        assert(sAll.cellCov(rowIdxs, colIdxs) == cov, s"seed=$seed sub=$sub")
+        assert(sOne.cellCov(rowIdxs, colIdxs) == cov, s"seed=$seed sub=$sub")
+        assert(sAll.combined(rowIdxs, colIdxs) == sOne.combined(rowIdxs, colIdxs))
+        val exact = Metrics.scores(df, cols, allSplits, sub)
+        assert(exact == Metrics.scores(df, cols, onePer, sub), s"seed=$seed sub=$sub")
+        assert(exact.cellCov == cov, s"seed=$seed sub=$sub")
+        assert(math.abs(exact.combined - sAll.combined(rowIdxs, colIdxs)) < 1e-12)
+      }
+      assert(Greedy.run(sAll, k = 2, l = 3, exhaustive = true).sub ==
+        Greedy.run(sOne, k = 2, l = 3, exhaustive = true).sub, s"seed=$seed")
+    }
+    assert(partial > 0, "no sub-table had coverage strictly between 0 and 1")
+  }
+
   test("upcov equals distributed describedCellCount") {
     (1 to 5).foreach { seed =>
       val (df, _, rules) = randomCase(seed)
@@ -67,7 +134,7 @@ class ScorerSpec extends SparkSpec {
     val ghost = Rule(Seq(Binning.token("a", "zz"), Binning.token("b", "v0")),
       Seq(Binning.token("c", "v0")), 0.1, 0.6)
     val scorer = new Scorer(BinnedMatrix.collect(df, cols), Seq(ghost))
-    assert(scorer.rules.head.matchRows.isEmpty)
+    assert(scorer.itemsets.head.matchRows.isEmpty)
     assert(scorer.upcov == 0L)
     assert(scorer.cellCov(Array(0), Array(0, 1, 2)) == 1.0) // vacuous
   }
@@ -85,11 +152,11 @@ class ScorerSpec extends SparkSpec {
   test("matchRows are exactly the rows the rule holds for") {
     val (df, rows, rules) = randomCase(3)
     val scorer = new Scorer(BinnedMatrix.collect(df, cols), rules)
-    scorer.rules.foreach { cr =>
+    scorer.itemsets.foreach { cr =>
       val expected = rows.zipWithIndex.collect {
-        case ((_, vs), i) if cr.rule.holdsFor(vs.toSet) => i
+        case ((_, vs), i) if cr.items.forall(vs.toSet) => i
       }
-      assert(cr.matchRows.toSeq == expected, s"rule ${cr.rule}")
+      assert(cr.matchRows.toSeq == expected, s"itemset ${cr.items}")
     }
   }
 

@@ -103,6 +103,16 @@ class SubTabSpec extends SparkSpec {
     assert(mat.select(Tables.Rid).collect().map(_.getLong(0)).toSeq == sub.rowIds.sorted)
   }
 
+  test("withRid is idempotent and materialize projects in order") {
+    val plain = Tables.withRid(df.select(Tables.dataCols(df).take(2).map(col): _*))
+    assert(Tables.withRid(plain).columns.count(_ == Tables.Rid) == 1)
+    val rids = plain.select(Tables.Rid).limit(3).collect().map(_.getLong(0)).toSeq
+    val last = Tables.dataCols(plain).last
+    val mat = Tables.materialize(plain, SubTable(rids, Seq(last)))
+    assert(mat.columns.toSeq == Seq(Tables.Rid, last))
+    assert(mat.count() == 3)
+  }
+
   test("an empty query result gives no rows and min(l, |qCols|) columns with the targets") {
     val q = (d: org.apache.spark.sql.DataFrame) => d.where(lit(false))
     val sub = SubTab.select(model, Some(q), k = 5, l = 4, Seq("attack_type"))

@@ -28,7 +28,6 @@ class HarnessSpec extends SparkSpec {
     assert(ctx.name == "CY")
     assert(ctx.rules.nonEmpty)
     assert(ctx.scorer.n == ctx.model.original.count())
-    assert(ctx.upcov == ctx.scorer.upcov)
     assert(ctx.prepMillis > 0)
 
     // the three interactive algorithms all produce valid sub-tables
@@ -42,6 +41,7 @@ class HarnessSpec extends SparkSpec {
     // Ctx.scores agrees with the scorer (same rule set, full table)
     val sub = Algos.run(ctx, "SubTab", 6, 5)
     val viaCtx = ctx.scores(sub)
+    assert(viaCtx == Metrics.scores(ctx.binned, ctx.cols, ctx.rules, sub))
     val viaScorer = ctx.scorer.combined(
       ctx.scorer.rowIndices(sub.rowIds), ctx.scorer.colIndices(sub.cols))
     assert(math.abs(viaCtx.combined - viaScorer) < 1e-9)
