@@ -95,9 +95,6 @@ object Binning {
     /** Full token vocabulary across all columns. */
     def vocabulary: Seq[String] = bins.flatMap(_.tokens).distinct
 
-    /** Token for a raw value of column `c`. */
-    def tokenOf(c: String, v: Any): String = token(c, byCol(c).label(v))
-
     /** Binned table: same `__rid`, each data column replaced by its token.
       * Implemented with per-column deterministic UDFs so the plan stays
       * small even for 298-column tables (USF).

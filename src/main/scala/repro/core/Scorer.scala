@@ -4,30 +4,55 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.rules.Rule
 
-/** Collected binned table: rids plus the token matrix, row-major. Built once
-  * per experiment via [[BinnedMatrix.collect]]; the iterative baselines
-  * (RAN best-of, Greedy, MAB) evaluate thousands of candidate sub-tables and
-  * must not pay a Spark job per evaluation — exactly like the paper's
-  * in-memory Pandas implementation.
+import scala.collection.mutable
+
+/** The collected binned table: the one driver-side form of the binned rows.
+  * Built once per experiment via [[BinnedMatrix.collect]]; the iterative
+  * baselines (RAN best-of, Greedy, MAB) evaluate thousands of candidate
+  * sub-tables and must not pay a Spark job per evaluation — exactly like the
+  * paper's in-memory Pandas implementation — and EmbDI walks its graph over
+  * the same table.
+  *
+  *   - `rids(i)` is the rid of row i; rows are in rid order;
+  *   - `codes(i)(j)` is the interned code of the token in row i, column j;
+  *   - `tokens(c)` is the token with code c;
+  *   - `rowsOf(c)` holds the rows containing token c, ascending.
   */
-final case class BinnedMatrix(rids: Array[Long], cols: Array[String],
-                              rows: Array[Array[String]]) {
-  def n: Int = rows.length
+final class BinnedMatrix(val rids: Array[Long], val cols: Array[String],
+                         val tokens: Array[String], val codes: Array[Array[Int]]) {
+  def n: Int = codes.length
   def m: Int = cols.length
+
+  private val codeOf: Map[String, Int] = tokens.iterator.zipWithIndex.toMap
+
+  /** Code of `token`, or -1 when no cell holds it. */
+  def code(token: String): Int = codeOf.getOrElse(token, -1)
+
+  val rowsOf: Array[Array[Int]] = {
+    val b = Array.fill(tokens.length)(Array.newBuilder[Int])
+    val last = Array.fill(tokens.length)(-1) // a row is listed once per token
+    codes.indices.foreach { i =>
+      codes(i).foreach { c => if (last(c) != i) { b(c) += i; last(c) = i } }
+    }
+    b.map(_.result())
+  }
 }
 
 object BinnedMatrix {
-  /** Collect a binned table (must carry `__rid`). Keep this to baseline
-    * scales (n up to a few hundred thousand rows).
+  /** Collect a binned table (must carry `__rid`), interning tokens to codes
+    * in row-major order of first occurrence. Keep this to baseline scales
+    * (n up to a few hundred thousand rows).
     */
   def collect(binned: DataFrame, cols: Seq[String]): BinnedMatrix = {
     val rows = binned.select((Tables.Rid +: cols).map(col): _*)
       .orderBy(col(Tables.Rid)).collect()
-    BinnedMatrix(
-      rids = rows.map(_.getLong(0)),
-      cols = cols.toArray,
-      rows = rows.map(r => cols.indices.map(i => r.getString(i + 1)).toArray),
-    )
+    val tokens = mutable.ArrayBuffer[String]()
+    val dict = mutable.HashMap[String, Int]()
+    val codes = rows.map(r => Array.tabulate(cols.length) { j =>
+      val t = r.getString(j + 1)
+      dict.getOrElseUpdate(t, { tokens += t; tokens.length - 1 })
+    })
+    new BinnedMatrix(rows.map(_.getLong(0)), cols.toArray, tokens.toArray, codes)
   }
 }
 
@@ -35,12 +60,12 @@ object BinnedMatrix {
   *
   * Mirrors [[Metrics]] exactly (property-tested for equality) but answers a
   * `combined` evaluation in microseconds-to-milliseconds:
-  *   - tokens are interned to dense int codes,
   *   - the rules are reduced to their distinct itemsets lhs ∪ rhs: every
   *     split of one itemset describes the same cells and is covered by the
   *     same sub-tables (Def. 3.6), so coverage is a function of itemsets,
   *   - each itemset is compiled to (columnIdx, code) pairs plus the sorted
-  *     array of row indices it holds for,
+  *     array of row indices it holds for, found from the matrix's rows of its
+  *     rarest token,
   *   - coverage unions are taken in a scratch bitset over the n×m cell grid.
   */
 final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double = 0.5) {
@@ -50,48 +75,41 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   val m: Int = mat.m
   private val colIdx: Map[String, Int] = mat.cols.zipWithIndex.toMap
 
-  // Token interning (code 0.. per distinct token).
-  private val dict = new java.util.HashMap[String, Int]()
-  private def codeOf(t: String): Int =
-    if (dict.containsKey(t)) dict.get(t)
-    else { val nc = dict.size(); dict.put(t, nc); nc }
-  /** codes(i)(j) = interned token of row i, column j. */
-  private val codes: Array[Array[Int]] =
-    mat.rows.map(r => r.map(codeOf))
-
   /** Compiled itemset: its items, their columns (indices) and required
     * codes, and the rows it holds for.
     */
-  final case class CompiledItemset(items: Vector[String], colIdxs: Array[Int],
-                                   reqCodes: Array[Int], matchRows: Array[Int]) {
+  final case class CompiledItemset(items: Vector[String], colIdxs: Array[Int], reqCodes: Array[Int]) {
     def holdsForRow(row: Int): Boolean = {
       var j = 0
       while (j < colIdxs.length) {
-        if (codes(row)(colIdxs(j)) != reqCodes(j)) return false
+        if (mat.codes(row)(colIdxs(j)) != reqCodes(j)) return false
         j += 1
       }
       true
+    }
+
+    /** Rows of the rarest token that hold the other items too; empty when a
+      * token occurs in no cell.
+      */
+    val matchRows: Array[Int] =
+      if (reqCodes.contains(-1)) Array.empty[Int]
+      else mat.rowsOf(reqCodes.minBy(mat.rowsOf(_).length)).filter(holdsForRow)
+
+    /** Set the cells this itemset describes in a bitset over the n×m grid. */
+    def mark(cells: java.util.BitSet): Unit = {
+      var i = 0
+      while (i < matchRows.length) {
+        val base = matchRows(i) * m
+        var j = 0
+        while (j < colIdxs.length) { cells.set(base + colIdxs(j)); j += 1 }
+        i += 1
+      }
     }
   }
 
   /** The distinct itemsets of the rules, in order of first occurrence. */
   val itemsets: Array[CompiledItemset] = allRules.iterator.map(_.items).distinct.map { items =>
-    val idxs = items.map(t => colIdx(Binning.tokenCol(t))).toArray
-    val req = items.map(t => dict.getOrDefault(t, -1)).toArray
-    val matches =
-      if (req.contains(-1)) Array.empty[Int] // token never occurs -> holds nowhere
-      else {
-        val b = Array.newBuilder[Int]
-        var i = 0
-        while (i < n) {
-          var j = 0; var ok = true
-          while (ok && j < idxs.length) { ok = codes(i)(idxs(j)) == req(j); j += 1 }
-          if (ok) b += i
-          i += 1
-        }
-        b.result()
-      }
-    CompiledItemset(items, idxs, req, matches)
+    CompiledItemset(items, items.map(t => colIdx(Binning.tokenCol(t))).toArray, items.map(mat.code).toArray)
   }.toArray
 
   /** Scratch bitset over the n×m cell grid, reused across evaluations. */
@@ -100,15 +118,7 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   /** Union cell count over an iterator of compiled itemsets. */
   private def unionCellCount(rs: Iterator[CompiledItemset]): Long = {
     scratch.clear()
-    rs.foreach { cr =>
-      var i = 0
-      while (i < cr.matchRows.length) {
-        val base = cr.matchRows(i) * m
-        var j = 0
-        while (j < cr.colIdxs.length) { scratch.set(base + cr.colIdxs(j)); j += 1 }
-        i += 1
-      }
-    }
+    rs.foreach(_.mark(scratch))
     scratch.cardinality().toLong
   }
 
@@ -139,7 +149,7 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
         var same = 0
         var c = 0
         while (c < colIdxs.length) {
-          if (codes(rowIdxs(i))(colIdxs(c)) == codes(rowIdxs(j))(colIdxs(c))) same += 1
+          if (mat.codes(rowIdxs(i))(colIdxs(c)) == mat.codes(rowIdxs(j))(colIdxs(c))) same += 1
           c += 1
         }
         sum += same.toDouble / colIdxs.length

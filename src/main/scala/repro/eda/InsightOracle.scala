@@ -86,8 +86,8 @@ object InsightOracle {
           // Two jointly-missing cells are "no data", not a reportable
           // insight; a value co-occurring with a missing cell is (e.g.
           // CANCELLED=1 with DEPARTURE_TIME=∅ in FL).
-          val nullTok1 = row(i).endsWith(Binning.Sep + Binning.NullLabel)
-          val nullTok2 = row(j).endsWith(Binning.Sep + Binning.NullLabel)
+          val nullTok1 = Binning.tokenLabel(row(i)) == Binning.NullLabel
+          val nullTok2 = Binning.tokenLabel(row(j)) == Binning.NullLabel
           if (!(nullTok1 && nullTok2)) {
             val pair = Vector(row(i), row(j)).sorted
             counts(pair) = counts.getOrElse(pair, 0) + 1

@@ -22,9 +22,7 @@ object CellEmbedding {
   final case class Params(
       vectorSize: Int = 64,
       windowSize: Int = 40,
-      minCount: Int = 1,
       maxIter: Int = 3,
-      numPartitions: Int = 1, // 1 => deterministic training
       seed: Long = 13,
   )
 
@@ -45,10 +43,10 @@ object CellEmbedding {
       .setOutputCol("vec")
       .setVectorSize(p.vectorSize)
       .setWindowSize(p.windowSize)
-      .setMinCount(p.minCount)
+      .setMinCount(1) // every token gets a vector
       .setMaxIter(p.maxIter)
       .setSeed(p.seed)
-      .setNumPartitions(p.numPartitions)
+      .setNumPartitions(1) // the only setting in which MLlib Word2Vec is deterministic
     val model = w2v.fit(corpus)
     val vecs = model.getVectors.collect().map { r =>
       r.getString(0) -> r.getAs[org.apache.spark.ml.linalg.Vector](1)

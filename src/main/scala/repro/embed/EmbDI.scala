@@ -1,8 +1,7 @@
 package repro.embed
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.{Binning, Tables}
+import repro.core.BinnedMatrix
 
 import scala.collection.mutable
 import scala.util.Random
@@ -14,10 +13,11 @@ import scala.util.Random
   * walks yields token vectors usable by the same centroid selection as
   * SubTab.
   *
-  * The walk generation materializes the cell list and an inverted
-  * token -> rows index on the driver — deliberately the heavyweight
-  * comparator, matching the paper's finding that EmbDI pre-processing is an
-  * order of magnitude slower than SubTab's (40 min vs 90 s there).
+  * The walks are generated on the driver over the collected
+  * [[repro.core.BinnedMatrix]] (its codes and token -> rows index) —
+  * deliberately the heavyweight comparator, matching the paper's finding
+  * that EmbDI pre-processing is an order of magnitude slower than SubTab's
+  * (40 min vs 90 s there).
   */
 object EmbDI {
 
@@ -33,23 +33,15 @@ object EmbDI {
     * scaffolding, as in EmbDI).
     */
   def train(binned: DataFrame, cols: Seq[String], p: Params = Params()): CellEmbedding.Model = {
-    val spark = binned.sparkSession
-    // Materialize the graph on the driver (the slow part, by construction).
-    val rows: Array[Array[String]] = binned
-      .select((Tables.Rid +: cols).map(col): _*)
-      .orderBy(col(Tables.Rid))
-      .collect()
-      .map(r => cols.indices.map(i => r.getString(i + 1)).toArray)
-
-    val n = rows.length
-    val m = cols.length
-    // Inverted index token -> row ids, and token -> column.
-    val tokRows = mutable.HashMap[String, mutable.ArrayBuffer[Int]]()
-    rows.zipWithIndex.foreach { case (r, i) =>
-      r.foreach(t => tokRows.getOrElseUpdate(t, mutable.ArrayBuffer[Int]()) += i)
-    }
-    val tokensByCol: Array[Array[String]] =
-      cols.indices.map(j => rows.iterator.map(_(j)).toArray.distinct).toArray
+    import binned.sparkSession.implicits._
+    // The graph on the driver: row i holds tokens codes(i), and token c
+    // links to the rows rowsOf(c) and, via its column node, to the distinct
+    // tokens of that column (in first-occurrence order).
+    val mat = BinnedMatrix.collect(binned, cols)
+    val n = mat.n
+    val m = mat.m
+    val tokensByCol: Array[Array[Int]] =
+      Array.tabulate(m)(j => mat.codes.iterator.map(_(j)).distinct.toArray)
 
     val rng = new Random(p.seed)
     val walks = mutable.ArrayBuffer[Array[String]]()
@@ -63,17 +55,17 @@ object EmbDI {
         while (s < p.walkLength) {
           // row node -> random token of the row
           val colPick = rng.nextInt(m)
-          val tok = rows(row)(colPick)
-          walk(s) = tok
+          val tok = mat.codes(row)(colPick)
+          walk(s) = mat.tokens(tok)
           // token node -> either another row containing it, or via its
           // column node to a sibling token (EmbDI's structural hop).
           if (rng.nextBoolean()) {
-            val rs = tokRows(tok)
+            val rs = mat.rowsOf(tok)
             row = rs(rng.nextInt(rs.length))
           } else {
             val sibs = tokensByCol(colPick)
             val sib = sibs(rng.nextInt(sibs.length))
-            val rs = tokRows(sib)
+            val rs = mat.rowsOf(sib)
             row = rs(rng.nextInt(rs.length))
           }
           s += 1
@@ -84,7 +76,6 @@ object EmbDI {
       i += 1
     }
 
-    val corpus = TabularCorpus.fromWalks(spark, walks.toSeq)
-    CellEmbedding.train(corpus, p.embed)
+    CellEmbedding.train(walks.toSeq.toDF("sentence"), p.embed)
   }
 }

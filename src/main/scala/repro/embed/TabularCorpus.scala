@@ -69,11 +69,4 @@ object TabularCorpus {
       corpus.sample(withReplacement = false, frac, seed).limit(maxSentences)
     }
   }
-
-  /** Corpus for an EmbDI-style walk list (already sentences of tokens). */
-  def fromWalks(spark: org.apache.spark.sql.SparkSession,
-                walks: Seq[Array[String]]): DataFrame = {
-    import spark.implicits._
-    walks.toDF("sentence")
-  }
 }

@@ -31,12 +31,12 @@ object Ctx {
 
   /** Bench-scale SubTab parameters: Word2Vec with a narrower window and
     * fewer epochs so that a full bench pass over six datasets stays
-    * interactive. It stays single-partition, the only setting in which MLlib
-    * Word2Vec is deterministic, so bench sub-tables are reproducible.
+    * interactive. Training is single-partition, as always
+    * ([[repro.embed.CellEmbedding.train]]), so bench sub-tables are
+    * reproducible.
     */
   val BenchSubTab: SubTab.Params = SubTab.Params(
-    embed = repro.embed.CellEmbedding.Params(
-      windowSize = 20, maxIter = 2, numPartitions = 1))
+    embed = repro.embed.CellEmbedding.Params(windowSize = 20, maxIter = 2))
 
   def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()

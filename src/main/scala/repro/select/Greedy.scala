@@ -85,7 +85,6 @@ object Greedy {
 
     val coveredRules = new Array[Boolean](applicable.length)
     val coveredCells = new java.util.BitSet(n * m)
-    var coveredCount = 0L
     val picked = mutable.ArrayBuffer[Int]()
     val pickedSet = new Array[Boolean](n)
 
@@ -142,21 +141,10 @@ object Greedy {
       pickedSet(bestRow) = true
       bestSig.foreach { aid =>
         coveredRules(aid) = true
-        val cr = applicable(aid)
-        var i = 0
-        while (i < cr.matchRows.length) {
-          val base = cr.matchRows(i) * m
-          var j = 0
-          while (j < cr.colIdxs.length) {
-            val bit = base + cr.colIdxs(j)
-            if (!coveredCells.get(bit)) { coveredCells.set(bit); coveredCount += 1 }
-            j += 1
-          }
-          i += 1
-        }
+        applicable(aid).mark(coveredCells)
       }
       step += 1
     }
-    (picked.toArray.sorted, Metrics.coverageRatio(coveredCount, scorer.upcov))
+    (picked.toArray.sorted, Metrics.coverageRatio(coveredCells.cardinality(), scorer.upcov))
   }
 }

@@ -17,9 +17,12 @@ object MAB {
 
   final case class Result(sub: SubTable, score: Double, iterations: Int)
 
+  /** UCB1 exploration weight. */
+  private val UcbC = 1.4
+
   def run(scorer: Scorer, k: Int, l: Int, targets: Seq[String] = Nil,
           budgetMillis: Long = 60000, maxIters: Int = Int.MaxValue,
-          ucbC: Double = 1.4, seed: Long = 37): Result = {
+          seed: Long = 37): Result = {
     val rng = new Random(seed)
     val n = scorer.n
     val targetIdxs = scorer.colIndices(targets)
@@ -41,7 +44,7 @@ object MAB {
       else {
         val tried = cnt.indices.filter(cnt(_) > 0L)
         val scored = tried.sortBy { i =>
-          -(sum(i) / cnt(i) + ucbC * math.sqrt(math.log(math.max(2L, t)) / cnt(i)))
+          -(sum(i) / cnt(i) + UcbC * math.sqrt(math.log(math.max(2L, t)) / cnt(i)))
         }
         untried ++ scored.take(take - untried.length)
       }

@@ -79,8 +79,8 @@ object NaiveClustering {
     else {
       val schema = df.schema
       val sample: Array[Row] = df
+        .orderBy(col(free.head).asc_nulls_last, col(Tables.Rid)) // rid breaks ties
         .select(free.map(col): _*)
-        .orderBy(col(free.head).asc_nulls_last) // any deterministic order
         .limit(ColSampleRows).collect()
       val colVecs: Seq[(String, Array[Float])] = free.zipWithIndex.map { case (c, j) =>
         val isNum = schema(c).dataType.isInstanceOf[NumericType]

@@ -165,6 +165,23 @@ class ScorerSpec extends SparkSpec {
     val mat = BinnedMatrix.collect(df, cols)
     assert(mat.n == rows.size && mat.m == 4)
     assert(mat.rids.toSeq == rows.map(_._1))
-    assert(mat.rows(5).toSeq == rows(5)._2)
+    assert(mat.codes(5).map(mat.tokens).toSeq == rows(5)._2)
+  }
+
+  test("BinnedMatrix codes decode to the cells and rowsOf lists exactly the rows holding each token") {
+    (1 to 5).foreach { seed =>
+      val (df, rows, _) = randomCase(seed)
+      val mat = BinnedMatrix.collect(df, cols)
+      rows.indices.foreach { i =>
+        cols.indices.foreach(j => assert(mat.tokens(mat.codes(i)(j)) == rows(i)._2(j), s"seed=$seed"))
+      }
+      mat.tokens.indices.foreach { c =>
+        val rs = mat.rowsOf(c).toSeq
+        assert(rs.zip(rs.drop(1)).forall { case (a, b) => a < b }, s"seed=$seed code=$c")
+        assert(rs == rows.indices.filter(i => rows(i)._2.contains(mat.tokens(c))), s"seed=$seed code=$c")
+        assert(mat.code(mat.tokens(c)) == c)
+      }
+      assert(mat.code(Binning.token("a", "zz")) == -1)
+    }
   }
 }

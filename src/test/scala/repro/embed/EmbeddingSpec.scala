@@ -89,10 +89,12 @@ class EmbeddingSpec extends SparkSpec {
     assert(missing.isEmpty, s"missing vectors for $missing")
   }
 
-  test("fromWalks builds a sentence corpus") {
-    val corpus = TabularCorpus.fromWalks(spark,
-      Seq(Array("a", "b"), Array("c", "d", "e")))
-    val lens = corpus.select(size(col("sentence"))).collect().map(_.getInt(0)).sorted
-    assert(lens.toSeq == Seq(2, 3))
+  test("EmbDI gives equal vectors on two runs with a fixed seed") {
+    val p = EmbDI.Params(walksPerRow = 2, walkLength = 6,
+      embed = CellEmbedding.Params(vectorSize = 8), seed = 5)
+    val a = EmbDI.train(binned, cols, p)
+    val b = EmbDI.train(binned.repartition(3), cols, p)
+    assert(a.vectors.keySet == b.vectors.keySet)
+    a.vectors.foreach { case (t, v) => assert(v.toSeq == b(t).toSeq, s"token $t") }
   }
 }

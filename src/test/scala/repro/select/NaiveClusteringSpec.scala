@@ -63,6 +63,22 @@ class NaiveClusteringSpec extends SparkSpec {
     assert(sub.rowIds.size == 4)
   }
 
+  test("selectCols does not depend on partitioning or row order when its sort column ties") {
+    import spark.implicits._
+    // `g` ties over the first 400 rids, more than the 256-row column sample;
+    // `a` and `b` are large on different halves of those tied rows.
+    val rows = (0L until 600L).map { i =>
+      (i, (i / 400).toDouble, if (i < 200) 1000.0 else 0.0,
+        if (i >= 200 && i < 400) 1000.0 else 0.0, (i % 7).toDouble)
+    }
+    val tieCols = Seq("g", "a", "b", "c")
+    val fwd = rows.toDF((Tables.Rid +: tieCols): _*)
+    val rev = rows.reverse.toDF((Tables.Rid +: tieCols): _*)
+    val expected = NaiveClustering.selectCols(fwd, tieCols, l = 2, seed = 5)
+    assert(NaiveClustering.selectCols(fwd.repartition(7), tieCols, l = 2, seed = 5) == expected)
+    assert(NaiveClustering.selectCols(rev, tieCols, l = 2, seed = 5) == expected)
+  }
+
   test("more targets than columns is rejected") {
     intercept[IllegalArgumentException] {
       NaiveClustering.selectCols(df, cols, l = 1, targets = Seq("cat", "big"))
