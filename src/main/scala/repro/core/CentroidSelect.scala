@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.expressions.XXH64
+import org.apache.spark.sql.functions.col
 
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -12,73 +13,77 @@ import scala.util.Random
   * cluster, the *actual element* nearest the cluster center — sub-tables
   * must contain real rows/columns, not synthetic means.
   *
-  * The clusterer runs on the driver: seeded greedy k-means++ seeding (Arthur &
+  * Everything runs on the driver: seeded greedy k-means++ seeding (Arthur &
   * Vassilvitskii, SODA'07), then Lloyd iterations (at most 20, stopping once
   * no center moves by more than 1e-4 — MLlib's defaults). A cluster's
   * representative is its member nearest the center, ties broken by id; when
   * duplicate vectors leave fewer than `k` non-empty clusters, the selection
-  * is padded with the lowest unselected ids. Columns (at most m vectors) are
-  * clustered without Spark. Rows are collected once, at most
-  * [[DriverRowCap]] of them; a larger input is fitted on a seeded rid-hash
-  * sample of that size, and one Spark pass keeps the nearest real row per
-  * center.
+  * is padded with the lowest unselected ids. Up to [[DriverRowCap]] rows
+  * are fitted directly; a larger input is fitted on a seeded rid-hash sample
+  * of that size, and every row is then assigned to its nearest center in one
+  * pass. [[SubTab]] builds its row vectors on the driver and calls the core
+  * ([[rowSelection]] over rids and a row-vector function) without Spark.
   */
 object CentroidSelect {
 
-  /** Most row vectors collected to the driver: about 10 MB at dim 64. */
+  /** Most rows the clusterer fits on: about 10 MB of vectors at dim 64. */
   private[core] val DriverRowCap = 20000
 
   private val MaxIter = 20
   private val Tolerance = 1e-4
   private val HashBuckets = 1L << 30
+  /** Spark's default seed of `xxhash64`. */
+  private val SparkHashSeed = 42L
 
   /** The selected rids and the centers they were picked for. */
   private[core] final case class RowSelection(rids: Seq[Long], centers: Array[Array[Double]])
 
   /** Select up to `k` row ids from a (`__rid`, `features`) frame. If fewer
     * rows than `k` exist, all are returned. The result is sorted and does not
-    * depend on the frame's partitioning.
+    * depend on the frame's partitioning. Collects the frame once.
     */
   def selectRows(vecs: DataFrame, k: Int, seed: Long = 17): Seq[Long] =
     rowSelection(vecs, k, seed, DriverRowCap).rids
 
   private[core] def rowSelection(vecs: DataFrame, k: Int, seed: Long, cap: Int): RowSelection = {
     if (k <= 0) return RowSelection(Seq.empty, Array.empty)
-    val feats = vecs.select(col(Tables.Rid), col("features"))
-    val head = feats.limit(cap + 1).collect()
-    if (head.length <= cap) {
-      val rows = head.map(r => (r.getLong(0), r.getAs[Vector](1).toArray)).sortBy(_._1)
-      val rids = rows.map(_._1)
-      val points = rows.map(_._2)
-      if (rows.length <= k) return RowSelection(rids.toSeq, points)
-      val centers = fit(points, k, seed)
-      val picked = representatives(points, centers).map(rids(_)).toSeq
-      RowSelection(pad(picked, rids.iterator, k).sorted, centers)
-    } else {
-      val centers = fit(hashSample(feats, seed, cap), k, seed)
-      val nearest = udf { (v: Vector) => nearestCenter(centers, v.toArray) }
-      val picked = feats.withColumn("near", nearest(col("features")))
-        .groupBy(col("near._1"))
-        .agg(min_by(col(Tables.Rid), struct(col("near._2"), col(Tables.Rid))))
-        .collect().map(_.getLong(1)).toSeq
-      val lowest =
-        if (picked.size >= k) Iterator.empty
-        else feats.select(Tables.Rid).orderBy(Tables.Rid).limit(k).collect().iterator.map(_.getLong(0))
-      RowSelection(pad(picked, lowest, k).sorted, centers)
-    }
+    val rows = vecs.select(col(Tables.Rid), col("features")).collect()
+      .map(r => (r.getLong(0), r.getAs[Vector](1).toArray)).sortBy(_._1)
+    val points = rows.map(_._2)
+    rowSelection(rows.map(_._1), points(_), k, seed, cap)
   }
 
-  /** The (at most) `cap` row vectors with the smallest hash of (rid, seed),
-    * in rid order. A pre-filter keeps about 2·cap rows, so no partition ships
-    * more than that to the driver.
+  /** The clusterer core: `rids` ascending, `vec(i)` the vector of row i.
+    * Fits on every row up to `cap` rows, otherwise on [[hashSample]]; then
+    * keeps, per center, the row with the smallest (distance, rid).
     */
-  private def hashSample(feats: DataFrame, seed: Long, cap: Int): Array[Array[Double]] = {
-    val keep = math.ceil(math.min(1.0, 2.0 * cap / feats.count()) * HashBuckets).toLong
-    feats.withColumn("h", pmod(xxhash64(col(Tables.Rid), lit(seed)), lit(HashBuckets)))
-      .where(col("h") < keep)
-      .orderBy(col("h"), col(Tables.Rid)).limit(cap)
-      .collect().map(r => (r.getLong(0), r.getAs[Vector](1).toArray))
-      .sortBy(_._1).map(_._2)
+  private[core] def rowSelection(rids: Array[Long], vec: Int => Array[Double],
+                                 k: Int, seed: Long, cap: Int): RowSelection = {
+    val n = rids.length
+    if (k <= 0) return RowSelection(Seq.empty, Array.empty)
+    if (n <= k) return RowSelection(rids.toSeq, Array.tabulate(n)(vec))
+    val (fitOn, vecOf) =
+      if (n <= cap) { val points = Array.tabulate(n)(vec); (points, points(_: Int)) }
+      else (hashSample(rids, seed, cap).map(vec), vec)
+    val centers = fit(fitOn, k, seed)
+    val picked = representatives(n, vecOf, centers).map(rids(_)).toSeq
+    RowSelection(pad(picked, rids.iterator, k).sorted, centers)
+  }
+
+  /** Spark's `pmod(xxhash64(rid, lit(seed)), 2^30)`, computed on the driver. */
+  private[core] def ridHash(rid: Long, seed: Long): Long = {
+    val h = XXH64.hashLong(seed, XXH64.hashLong(rid, SparkHashSeed))
+    ((h % HashBuckets) + HashBuckets) % HashBuckets
+  }
+
+  /** Indices of the (at most) `cap` rows with the smallest (hash of (rid,
+    * seed), rid), ascending. A pre-filter first keeps the rows whose hash is
+    * below a 2·cap/n quantile of the buckets, as the Spark sample did.
+    */
+  private def hashSample(rids: Array[Long], seed: Long, cap: Int): Array[Int] = {
+    val keep = math.ceil(math.min(1.0, 2.0 * cap / rids.length) * HashBuckets).toLong
+    val h = rids.map(ridHash(_, seed))
+    rids.indices.filter(h(_) < keep).sortBy(i => (h(i), rids(i))).take(cap).sorted.toArray
   }
 
   /** Select up to `k` named items (columns) from driver-side vectors; the
@@ -91,7 +96,7 @@ object CentroidSelect {
     if (items.size <= k) return items.map(_._1)
     val byName = items.sortBy(_._1)
     val points = byName.map(_._2.map(_.toDouble)).toArray
-    val picked = representatives(points, fit(points, k, seed)).map(byName(_)._1).toSeq
+    val picked = representatives(points.length, points(_), fit(points, k, seed)).map(byName(_)._1).toSeq
     val chosen = pad(picked, byName.iterator.map(_._1), k).toSet
     items.map(_._1).filter(chosen)
   }
@@ -113,7 +118,7 @@ object CentroidSelect {
     * tables it lowered the mean k-means cost in five of the six row and
     * column clusterings, compared with plain k-means++.
     */
-  private def fit(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
+  private[core] def fit(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
     val n = points.length
     if (n == 0 || k <= 0) return Array.empty
     val rng = new Random(seed)
@@ -172,19 +177,21 @@ object CentroidSelect {
   /** Index of each non-empty cluster's member nearest its center (ties go
     * to the lower index), in center order.
     */
-  private def representatives(points: Array[Array[Double]],
+  private def representatives(n: Int, vec: Int => Array[Double],
                               centers: Array[Array[Double]]): Array[Int] = {
     val best = Array.fill(centers.length)(-1)
     val bestDist = Array.fill(centers.length)(Double.PositiveInfinity)
-    points.indices.foreach { i =>
-      val (c, d) = nearestCenter(centers, points(i))
+    var i = 0
+    while (i < n) {
+      val (c, d) = nearestCenter(centers, vec(i))
       if (d < bestDist(c)) { best(c) = i; bestDist(c) = d }
+      i += 1
     }
     best.filter(_ >= 0)
   }
 
   /** Nearest center (ties go to the lower index) and its squared distance. */
-  private def nearestCenter(centers: Array[Array[Double]], p: Array[Double]): (Int, Double) = {
+  private[core] def nearestCenter(centers: Array[Array[Double]], p: Array[Double]): (Int, Double) = {
     var best = 0
     var bestDist = Double.PositiveInfinity
     var c = 0

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.embed.{CellEmbedding, TabularCorpus}
@@ -8,18 +7,20 @@ import repro.embed.{CellEmbedding, TabularCorpus}
 /** SubTab (paper Algorithm 2): embedding-based sub-table selection.
   *
   * Pre-processing (once per table): normalize + bin, build the tabular
-  * corpus, train the cell embedding M : token -> R^gamma.
+  * corpus, train the cell embedding M : token -> R^gamma, and collect the
+  * binned table into the model's [[BinnedMatrix]] (failing fast when it
+  * would not fit the driver heap, see [[BinnedMatrix.requireFits]]).
   *
-  * Selection (per display / per query): row-vectors = average of the row's
-  * cell vectors; k-means into k clusters, take the row nearest each center.
-  * Column-vectors = average over rows of the column's cell vectors; k-means
-  * into l − |U*| clusters, take nearest columns, then add the target
-  * columns U*. Both clusterings run on the driver ([[CentroidSelect]]):
-  * rows are collected once (up to a fixed cap; larger inputs are fitted on a
-  * seeded sample and assigned in one Spark pass), columns need no Spark job.
-  * Selection only touches the cached cell vectors, so query results get
-  * sub-tables without re-training — the paper's headline interactivity
-  * property.
+  * Selection (per display / per query) runs on the driver, over the
+  * matrix's codes: row-vectors = average of the row's cell vectors; k-means
+  * into k clusters, take the row nearest each center. Column-vectors =
+  * average over rows of the column's cell vectors; k-means into l − |U*|
+  * clusters, take nearest columns, then add the target columns U*. Both
+  * clusterings run in [[CentroidSelect]]. A full-table select runs no Spark
+  * job; a query select runs one, which collects the query's surviving
+  * `__rid`s. Selection only touches the cached cell vectors and matrix, so
+  * query results get sub-tables without re-training — the paper's headline
+  * interactivity property.
   */
 object SubTab {
 
@@ -31,7 +32,9 @@ object SubTab {
       kmeansSeed: Long = 17,
   )
 
-  /** Pre-processed state for a loaded table. `binned` is cached. */
+  /** Pre-processed state for a loaded table. `binned` is cached; `matrix`
+    * is the same binned table collected to the driver.
+    */
   final class Model(
       val original: DataFrame,
       val binModel: Binning.BinModel,
@@ -39,24 +42,41 @@ object SubTab {
       val cols: Seq[String],
       val cellVecs: CellEmbedding.Model,
       val params: Params,
+      val matrix: BinnedMatrix,
   ) {
+    /** Collects `binned` into the matrix. */
+    def this(original: DataFrame, binModel: Binning.BinModel, binned: DataFrame,
+             cols: Seq[String], cellVecs: CellEmbedding.Model, params: Params) =
+      this(original, binModel, binned, cols, cellVecs, params, BinnedMatrix.collect(binned, cols))
+
     def spark: org.apache.spark.sql.SparkSession = original.sparkSession
     def unpersist(): Unit = { binned.unpersist(); original.unpersist(); () }
+
+    private[core] lazy val colIdx: Map[String, Int] = matrix.cols.zipWithIndex.toMap
+    /** The cell vector of each matrix code. */
+    private[core] lazy val codeVecs: Array[Array[Float]] = matrix.tokens.map(cellVecs(_))
+    /** Matrix codes in token-string order. */
+    private[core] lazy val codesByToken: Array[Int] = matrix.tokens.indices.sortBy(matrix.tokens(_)).toArray
   }
 
   /** Pre-processing phase (Alg. 2 lines 1-5). `df` must carry `__rid` (use
     * [[Tables.withRid]] otherwise).
     */
-  def preprocess(df0: DataFrame, p: Params = Params()): Model = {
+  def preprocess(df0: DataFrame, p: Params = Params()): Model =
+    preprocess(df0, p, Runtime.getRuntime.maxMemory)
+
+  /** [[preprocess]] against a driver heap of `heapBytes`. */
+  private[core] def preprocess(df0: DataFrame, p: Params, heapBytes: Long): Model = {
     val df = Tables.withRid(df0).cache()
     df.count()
     val (binModel, binnedRaw) = Binning.bin(df, p.nBins)
     val binned = binnedRaw.cache()
-    binned.count()
     val cols = binModel.cols
+    BinnedMatrix.requireFits(binned.count(), cols.size, heapBytes)
+    val matrix = BinnedMatrix.collect(binned, cols)
     val corpus = TabularCorpus.build(binned, cols, p.corpusCap, p.corpusSeed)
     val cellVecs = CellEmbedding.train(corpus, p.embed)
-    new Model(df, binModel, binned, cols, cellVecs, p)
+    new Model(df, binModel, binned, cols, cellVecs, p, matrix)
   }
 
   /** Centroid-based selection (Alg. 2 lines 6-19) over the full table. */
@@ -70,14 +90,17 @@ object SubTab {
     */
   def select(model: Model, query: Option[DataFrame => DataFrame],
              k: Int, l: Int, targets: Seq[String]): SubTable = {
-    val (binnedQ, qCols) = queryView(model, query)
+    val (rows, qCols) = query match {
+      case None => (model.matrix.rids.indices.toArray, model.cols)
+      case Some(f) =>
+        val q = f(model.original)
+        require(q.columns.contains(Tables.Rid), "query must preserve __rid")
+        (matrixRows(model, q), Tables.dataCols(q).filter(model.cols.contains))
+    }
     require(targets.forall(qCols.contains),
       s"target columns $targets must survive the query (have: $qCols)")
     require(targets.size <= l, s"more targets (${targets.size}) than columns ($l)")
-
-    val rows = rowsByCentroids(model, binnedQ, qCols, k)
-    val cols = colsByCentroids(model, binnedQ, qCols, l, targets)
-    SubTable(rows, cols)
+    SubTable(selectRows(model, rows, qCols, k), selectCols(model, rows, qCols, l, targets))
   }
 
   /** Binned view of the query result plus its surviving data columns. */
@@ -95,49 +118,79 @@ object SubTab {
         (view, qCols)
     }
 
-  /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids.
-    * Public because row selection is independent of the column count l, so
-    * harnesses sweeping sub-table widths reuse one row selection.
+  /** Matrix rows of the rids in `df` (one Spark job), ascending and without
+    * duplicates — the rows a left-semi join of the binned table keeps.
+    */
+  private def matrixRows(model: Model, df: DataFrame): Array[Int] = {
+    val rids = model.matrix.rids
+    df.select(Tables.Rid).collect()
+      .map(r => java.util.Arrays.binarySearch(rids, r.getLong(0)))
+      .filter(_ >= 0).distinct.sorted
+  }
+
+  /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids,
+    * over the rows of a binned view (`binnedQ` must carry `__rid`; its rids
+    * are collected in one Spark job). Public because row selection is
+    * independent of the column count l, so harnesses sweeping sub-table
+    * widths reuse one row selection.
     */
   def rowsByCentroids(model: Model, binnedQ: DataFrame,
-                      qCols: Seq[String], k: Int): Seq[Long] = {
-    val spark = model.spark
-    import spark.implicits._
-    val dim = model.cellVecs.vectorSize
-    val vecsB = spark.sparkContext.broadcast(model.cellVecs)
-    val rowVecs = binnedQ
-      .select(col(Tables.Rid), array(qCols.map(col): _*).as("toks"))
-      .as[(Long, Seq[String])]
-      .map { case (rid, toks) =>
-        val m = vecsB.value
-        val acc = new Array[Double](dim)
-        toks.foreach { t =>
-          val v = m(t)
-          var i = 0
-          while (i < dim) { acc(i) += v(i); i += 1 }
-        }
-        var i = 0
-        while (i < dim) { acc(i) /= math.max(1, toks.size); i += 1 }
-        (rid, Vectors.dense(acc))
-      }
-      .toDF(Tables.Rid, "features")
-    try CentroidSelect.selectRows(rowVecs, k, model.params.kmeansSeed)
-    finally vecsB.destroy()
-  }
+                      qCols: Seq[String], k: Int): Seq[Long] =
+    selectRows(model, matrixRows(model, binnedQ), qCols, k)
 
   /** Column-vectors (avg over rows of the column's cell vectors, i.e. the
     * token-frequency-weighted mean) -> k-means into l − |U*| -> nearest
-    * columns, plus the targets.
+    * columns, plus the targets, over the rows of a binned view.
     */
   def colsByCentroids(model: Model, binnedQ: DataFrame,
                       qCols: Seq[String], l: Int,
-                      targets: Seq[String]): Seq[String] = {
+                      targets: Seq[String]): Seq[String] =
+    selectCols(model, matrixRows(model, binnedQ), qCols, l, targets)
+
+  /** Column-vectors of `cols` over the rows of a binned view; see
+    * [[columnVectorsOf]].
+    */
+  def columnVectors(model: Model, binnedQ: DataFrame,
+                    cols: Seq[String]): Seq[(String, Array[Float])] =
+    columnVectorsOf(model, matrixRows(model, binnedQ), cols)
+
+  /** Row selection over matrix rows `rows` (ascending). A row vector adds
+    * its cells' vectors in `qCols` order into a `Double` accumulator and
+    * divides by the number of columns.
+    */
+  private def selectRows(model: Model, rows: Array[Int], qCols: Seq[String], k: Int): Seq[Long] = {
+    val codes = model.matrix.codes
+    val vecs = model.codeVecs
+    val js = qCols.map(model.colIdx).toArray
+    val dim = model.cellVecs.vectorSize
+    val rowVec = (i: Int) => {
+      val row = codes(rows(i))
+      val acc = new Array[Double](dim)
+      var j = 0
+      while (j < js.length) {
+        val v = vecs(row(js(j)))
+        var d = 0
+        while (d < dim) { acc(d) += v(d); d += 1 }
+        j += 1
+      }
+      var d = 0
+      while (d < dim) { acc(d) /= math.max(1, js.length); d += 1 }
+      acc
+    }
+    CentroidSelect.rowSelection(rows.map(model.matrix.rids), rowVec, k,
+      model.params.kmeansSeed, CentroidSelect.DriverRowCap).rids
+  }
+
+  /** Column selection over matrix rows `rows`: the targets plus the picked
+    * free columns, in the query's column order.
+    */
+  private def selectCols(model: Model, rows: => Array[Int], qCols: Seq[String], l: Int,
+                         targets: Seq[String]): Seq[String] = {
     val free = qCols.filterNot(targets.contains)
     val want = l - targets.size
     if (want <= 0) return targets
     if (free.size <= want) return (targets ++ free).distinct
-    val colVecs = columnVectors(model, binnedQ, free)
-    val picked = CentroidSelect.selectNamed(model.spark, colVecs, want,
+    val picked = CentroidSelect.selectNamed(model.spark, columnVectorsOf(model, rows, free), want,
       model.params.kmeansSeed + 1)
     // Preserve the original column order in the output schema.
     val chosen = (targets ++ picked).toSet
@@ -145,27 +198,29 @@ object SubTab {
   }
 
   /** Column-vectors: token-frequency-weighted mean of the column's cell
-    * vectors (Alg. 2 line 14, computed from one (position, token)-frequency
-    * pass instead of a per-column scan). Each column's tokens are summed in
-    * token order, so the vectors do not depend on the frame's partitioning.
+    * vectors over matrix rows `rows` (Alg. 2 line 14), from per-code counts.
+    * Each column's codes are summed in token-string order, `Float` vector
+    * times `Long` count, then L2-normalized.
     */
-  def columnVectors(model: Model, binnedQ: DataFrame,
-                    cols: Seq[String]): Seq[(String, Array[Float])] = {
-    val freqs = binnedQ
-      .select(posexplode(array(cols.map(col): _*)).as(Seq("pos", "tok")))
-      .groupBy("pos", "tok").count()
-      .collect()
-      .groupBy(_.getInt(0))
-      .view.mapValues(_.map(r => (r.getString(1), r.getLong(2))).sortBy(_._1)).toMap
+  private def columnVectorsOf(model: Model, rows: Array[Int],
+                              cols: Seq[String]): Seq[(String, Array[Float])] = {
+    val codes = model.matrix.codes
     val dim = model.cellVecs.vectorSize
-    cols.indices.map { i =>
+    val counts = new Array[Long](model.matrix.tokens.length)
+    cols.map { c =>
+      val j = model.colIdx(c)
+      java.util.Arrays.fill(counts, 0L)
+      rows.foreach(i => counts(codes(i)(j)) += 1)
       val acc = new Array[Double](dim)
       var total = 0L
-      freqs.getOrElse(i, Array.empty[(String, Long)]).foreach { case (tok, cnt) =>
-        val v = model.cellVecs(tok)
-        var d = 0
-        while (d < dim) { acc(d) += v(d) * cnt; d += 1 }
-        total += cnt
+      model.codesByToken.foreach { code =>
+        val cnt = counts(code)
+        if (cnt > 0) {
+          val v = model.codeVecs(code)
+          var d = 0
+          while (d < dim) { acc(d) += v(d) * cnt; d += 1 }
+          total += cnt
+        }
       }
       val out = new Array[Float](dim)
       if (total > 0) { var d = 0; while (d < dim) { out(d) = (acc(d) / total).toFloat; d += 1 } }
@@ -179,7 +234,7 @@ object SubTab {
         val inv = (1.0 / math.sqrt(norm)).toFloat
         var d = 0; while (d < dim) { out(d) *= inv; d += 1 }
       }
-      cols(i) -> out
+      c -> out
     }
   }
 }

@@ -8,9 +8,10 @@ import org.apache.spark.sql.DataFrame
   * A thin, deterministic wrapper around MLlib's Word2Vec (skip-gram with
   * negative-sampling-free hierarchical softmax, same objective family as the
   * paper's gensim). The vocabulary is tiny — one word per (column, bin) —
-  * so we collect the learned vectors into a plain map, which the selection
-  * phase broadcasts to recompute row/column vectors of query results without
-  * touching the corpus again (the paper's key pre-processing reuse).
+  * so we collect the learned vectors into a plain map. Selection indexes it
+  * by the codes of the model's [[repro.core.BinnedMatrix]] and builds the
+  * row/column vectors of query results on the driver, without touching the
+  * corpus again (the paper's key pre-processing reuse).
   */
 object CellEmbedding {
 

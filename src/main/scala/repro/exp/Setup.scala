@@ -54,8 +54,7 @@ object Ctx {
     val (model, prepMs) = timed(SubTab.preprocess(df, subTabParams))
     val rulesAll = Apriori.mine(model.binned, model.cols, mining)
     val rules = Rule.targetFilter(rulesAll, meta.targets.toSet)
-    val mat = BinnedMatrix.collect(model.binned, model.cols)
-    val scorer = new Scorer(mat, rules)
+    val scorer = new Scorer(model.matrix, rules)
     Ctx(meta.name, meta, model, rules, scorer, prepMs)
   }
 }
@@ -110,7 +109,7 @@ object Algos {
     val (sub, totalMs) = Ctx.timed {
       val vecs = EmbDI.train(ctx.binned, ctx.cols, p)
       val model = new SubTab.Model(ctx.model.original, ctx.model.binModel,
-        ctx.binned, ctx.cols, vecs, ctx.model.params)
+        ctx.binned, ctx.cols, vecs, ctx.model.params, ctx.model.matrix)
       SubTab.select(model, k, l, ctx.meta.targets)
     }
     (sub, totalMs)

@@ -1,0 +1,135 @@
+package repro.core
+
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import repro.SparkSpec
+import repro.data.Datasets
+import repro.exp.Ctx
+
+/** `SubTab.select` on the driver against the Spark path it replaced
+  * ([[SparkSelect]]), its Spark job count, its rid hash and the driver size
+  * guard of `SubTab.preprocess`.
+  */
+class DriverSelectSpec extends SparkSpec {
+
+  lazy val cy: (SubTab.Model, Seq[String]) = {
+    val (df, meta) = Datasets.cyber(spark, 0.05)
+    (SubTab.preprocess(df, Ctx.BenchSubTab), meta.targets)
+  }
+  lazy val fl: (SubTab.Model, Seq[String]) = {
+    val (df, meta) = Datasets.flights(spark, 0.0003)
+    (SubTab.preprocess(df, Ctx.BenchSubTab), meta.targets)
+  }
+
+  val shapes = Seq((8, 6), (5, 4), (12, 10), (1, 3), (3, 1))
+
+  type Query = Option[DataFrame => DataFrame]
+
+  /** The driver and the Spark path give the same sub-table at every shape. */
+  def sameAsSpark(table: (SubTab.Model, Seq[String]), query: Query, withTargets: Boolean): Unit = {
+    val (model, metaTargets) = table
+    val targets = if (withTargets) metaTargets else Nil
+    shapes.filter(_._2 >= targets.size).foreach { case (k, l) =>
+      val driver = SubTab.select(model, query, k, l, targets)
+      val reference = SparkSelect.select(model, query, k, l, targets)
+      assert(driver == reference, s"k = $k, l = $l, targets = $targets")
+    }
+  }
+
+  def bothTables(query: Query, withTargets: Boolean = false): Unit =
+    Seq(cy, fl).foreach(sameAsSpark(_, query, withTargets))
+
+  test("a full-table select equals the Spark path") {
+    bothTables(None)
+    bothTables(None, withTargets = true)
+  }
+
+  test("a filtered select equals the Spark path") {
+    bothTables(Some(d => d.where(col(Tables.Rid) % 3 === 1)), withTargets = true)
+    sameAsSpark(cy, Some(d => d.where(col("protocol") === "UDP")), withTargets = false)
+  }
+
+  test("a projection with targets equals the Spark path") {
+    Seq(cy, fl).foreach { case t @ (model, targets) =>
+      val keep = (model.cols.take(7) ++ targets).distinct
+      sameAsSpark(t, Some(d => d.where(col(Tables.Rid) < 900).select((Tables.Rid +: keep).map(col): _*)),
+        withTargets = true)
+    }
+  }
+
+  test("a query that repeats rids (a self-union) equals the Spark path") {
+    bothTables(Some(d => d.where(col(Tables.Rid) % 2 === 0).union(d.where(col(Tables.Rid) % 3 === 0))))
+  }
+
+  test("an empty query result equals the Spark path") {
+    bothTables(Some(d => d.where(lit(false))), withTargets = true)
+  }
+
+  test("a query result with fewer rows than k equals the Spark path") {
+    bothTables(Some(d => d.where(col(Tables.Rid).isin(4L, 9L, 11L, 40L))))
+  }
+
+  test("above the cap, the driver core equals the Spark sample, UDF and min_by") {
+    val (model, _) = cy
+    val vecs = SparkSelect.rowVectors(model, model.binned, model.cols).cache()
+    Seq((3, 6L, 300), (8, 17L, 500), (10, 5L, 1000), (4, 2L, 60)).foreach { case (k, seed, cap) =>
+      val driver = CentroidSelect.rowSelection(vecs, k, seed, cap)
+      val reference = SparkSelect.rowSelection(vecs, k, seed, cap)
+      assert(driver.rids == reference.rids, s"k = $k, seed = $seed, cap = $cap")
+      assert(driver.centers.map(_.toSeq).toSeq == reference.centers.map(_.toSeq).toSeq)
+    }
+    vecs.unpersist()
+  }
+
+  test("the driver hash equals Spark's pmod(xxhash64(rid, lit(seed)), 2^30)") {
+    val rids = spark.range(-2000L, 3000L).toDF(Tables.Rid)
+      .union(spark.createDataFrame(Seq(Tuple1(Long.MaxValue), Tuple1(Long.MinValue))).toDF(Tables.Rid))
+    Seq(0L, 6L, 17L, -3L, Long.MaxValue).foreach { seed =>
+      val bySpark = rids.select(col(Tables.Rid), SparkSelect.ridHash(col(Tables.Rid), seed))
+        .collect().map(r => r.getLong(0) -> r.getLong(1))
+      assert(bySpark.length == 5002)
+      bySpark.foreach { case (rid, h) =>
+        assert(CentroidSelect.ridHash(rid, seed) == h, s"rid $rid, seed $seed")
+      }
+    }
+  }
+
+  /** Spark jobs started while `body` runs. */
+  def jobs(body: => Any): Int = {
+    val sc = spark.sparkContext
+    TestBus.drain(sc)
+    val started = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = { started.incrementAndGet(); () }
+    }
+    sc.addSparkListener(listener)
+    try { body; TestBus.drain(sc); started.get } finally sc.removeSparkListener(listener)
+  }
+
+  test("a full-table select runs no Spark job and a query select runs one") {
+    val (model, targets) = fl
+    val q: Query = Some(d => d.where(col("AIRLINE") === "AA"))
+    val p: Query = Some(d => d.select((Tables.Rid +: model.cols.take(9) :+ targets.head).map(col): _*))
+    SubTab.select(model, q, 8, 6, targets) // warm the model's driver-side tables
+    assert(jobs(SubTab.select(model, 8, 6)) == 0)
+    assert(jobs(SubTab.select(model, 10, 7, targets)) == 0)
+    assert(jobs(SubTab.select(model, q, 8, 6, targets)) == 1)
+    assert(jobs(SubTab.select(model, p, 9, 5, targets)) == 1)
+  }
+
+  test("preprocess fails fast when the binned table would not fit the driver heap") {
+    val (df, _) = Datasets.cyber(spark, 0.05)
+    val n = df.count()
+    val need = n * 15 * BinnedMatrix.BytesPerCell
+    val e = intercept[IllegalArgumentException] {
+      SubTab.preprocess(df, Ctx.BenchSubTab, heapBytes = 2 * need - 1)
+    }
+    Seq(s"n = $n rows", "m = 15 columns", s"${BinnedMatrix.BytesPerCell} B per cell", "MB heap")
+      .foreach(part => assert(e.getMessage.contains(part), e.getMessage))
+    BinnedMatrix.requireFits(n, 15, 2 * need)
+  }
+}
