@@ -24,6 +24,17 @@ final case class CatEq(col: String, value: String, token: String) extends Predic
   def toColumn: Column = org.apache.spark.sql.functions.col(col) === lit(value)
 }
 
+/** A categorical column's grouped `OTHER` bin: a non-null value outside the
+  * kept categories (nulls bin to `∅`). Values are compared as strings, as
+  * binning compares them.
+  */
+final case class CatNotIn(col: String, kept: Set[String], token: String) extends Predicate {
+  def toColumn: Column = {
+    val c = org.apache.spark.sql.functions.col(col).cast("string")
+    c.isNotNull && !c.isin(kept.toSeq.sorted: _*)
+  }
+}
+
 /** Range selection on a continuous column: lo < v <= hi — exactly the bin
   * membership rule of [[Binning.ContinuousBins]] (bin i is the half-open
   * interval (edges(i-1), edges(i)], unbounded at the extremes).
@@ -95,7 +106,7 @@ object Query {
         NumRange(c, lo, hi, tok)
       case Binning.CategoricalBins(_, kept, _) =>
         if (kept.contains(label)) CatEq(c, label, tok)
-        else CatEq(c, label, tok) // OTHER: treated as a (rare) literal miss
+        else CatNotIn(c, kept, tok)
     }
   }
 }

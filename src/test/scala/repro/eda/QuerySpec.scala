@@ -31,6 +31,19 @@ class QuerySpec extends SparkSpec {
     assert(byPredicate == byBin && byPredicate > 0)
   }
 
+  test("predicateFor on an OTHER token selects exactly the rows binned to OTHER") {
+    val genre = model("genre").asInstanceOf[Binning.CategoricalBins]
+    assert(genre.hasOther)
+    val tok = Binning.token("genre", "OTHER")
+    val pred = Query.predicateFor(model, tok)
+    assert(pred.token == tok)
+    val byPredicate = df.where(pred.toColumn).select(Tables.Rid)
+      .collect().map(_.getLong(0)).toSet
+    val byBin = binned.where(col("genre") === tok).select(Tables.Rid)
+      .collect().map(_.getLong(0)).toSet
+    assert(byPredicate == byBin && byBin.nonEmpty)
+  }
+
   test("predicateFor on the ∅ bin selects null rows") {
     val (fl, _) = Datasets.flights(spark, 0.0003)
     val (m2, b2) = Binning.bin(fl, 5)
