@@ -61,6 +61,7 @@ object BinnedMatrix {
       f"the binned table (n = $n rows, m = $m columns) needs about ${need / 1e6}%.0f MB " +
         f"on the driver ($BytesPerCell B per cell), more than half of the ${heapBytes / 1e6}%.0f MB heap")
   }
+
   /** Collect a binned table (must carry `__rid`), interning tokens to codes
     * in row-major order of first occurrence. Keep this to baseline scales
     * (n up to a few hundred thousand rows).

@@ -103,7 +103,10 @@ object SubTab {
     SubTable(selectRows(model, rows, qCols, k), selectCols(model, rows, qCols, l, targets))
   }
 
-  /** Binned view of the query result plus its surviving data columns. */
+  /** Binned view of the query result plus its surviving data columns, as a
+    * left-semi join of the binned table (Fig. 6's harness; [[select]] maps
+    * the query's rids to matrix rows instead).
+    */
   private[repro] def queryView(model: Model,
                                query: Option[DataFrame => DataFrame]): (DataFrame, Seq[String]) =
     query match {
