@@ -93,9 +93,8 @@ object SubTab {
     val (rows, qCols) = query match {
       case None => (model.matrix.rids.indices.toArray, model.cols)
       case Some(f) =>
-        val q = f(model.original)
-        require(q.columns.contains(Tables.Rid), "query must preserve __rid")
-        (matrixRows(model, q), Tables.dataCols(q).filter(model.cols.contains))
+        val (q, qCols) = runQuery(model, f)
+        (matrixRows(model, q), qCols)
     }
     require(targets.forall(qCols.contains),
       s"target columns $targets must survive the query (have: $qCols)")
@@ -112,14 +111,21 @@ object SubTab {
     query match {
       case None => (model.binned, model.cols)
       case Some(f) =>
-        val q = f(model.original)
-        require(q.columns.contains(Tables.Rid), "query must preserve __rid")
-        val qCols = Tables.dataCols(q).filter(model.cols.contains)
+        val (q, qCols) = runQuery(model, f)
         val view = model.binned
           .join(q.select(Tables.Rid), Seq(Tables.Rid), "left_semi")
           .select((Tables.Rid +: qCols).map(col): _*)
         (view, qCols)
     }
+
+  /** The query's result on the original table and its surviving data
+    * columns.
+    */
+  private def runQuery(model: Model, f: DataFrame => DataFrame): (DataFrame, Seq[String]) = {
+    val q = f(model.original)
+    require(q.columns.contains(Tables.Rid), "query must preserve __rid")
+    (q, Tables.dataCols(q).filter(model.cols.contains))
+  }
 
   /** Matrix rows of the rids in `df` (one Spark job), ascending and without
     * duplicates — the rows a left-semi join of the binned table keeps.
