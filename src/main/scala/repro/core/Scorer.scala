@@ -62,13 +62,13 @@ object BinnedMatrix {
         f"on the driver ($BytesPerCell B per cell), more than half of the ${heapBytes / 1e6}%.0f MB heap")
   }
 
-  /** Collect a binned table (must carry `__rid`), interning tokens to codes
-    * in row-major order of first occurrence. Keep this to baseline scales
-    * (n up to a few hundred thousand rows).
+  /** Collect a binned table (must carry `__rid`), sort its rows by rid on
+    * the driver and intern tokens to codes in row-major order of first
+    * occurrence. Keep this to baseline scales (n up to a few hundred
+    * thousand rows).
     */
   def collect(binned: DataFrame, cols: Seq[String]): BinnedMatrix = {
-    val rows = binned.select((Tables.Rid +: cols).map(col): _*)
-      .orderBy(col(Tables.Rid)).collect()
+    val rows = binned.select((Tables.Rid +: cols).map(col): _*).collect().sortBy(_.getLong(0))
     val tokens = mutable.ArrayBuffer[String]()
     val dict = mutable.HashMap[String, Int]()
     val codes = rows.map(r => Array.tabulate(cols.length) { j =>

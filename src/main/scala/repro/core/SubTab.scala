@@ -103,8 +103,8 @@ object SubTab {
   }
 
   /** Binned view of the query result plus its surviving data columns, as a
-    * left-semi join of the binned table (Fig. 6's harness; [[select]] maps
-    * the query's rids to matrix rows instead).
+    * left-semi join of the binned table (Fig. 6 counts and scores it;
+    * [[select]] maps the query's rids to matrix rows instead).
     */
   private[repro] def queryView(model: Model,
                                query: Option[DataFrame => DataFrame]): (DataFrame, Seq[String]) =
@@ -139,22 +139,12 @@ object SubTab {
 
   /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids,
     * over the rows of a binned view (`binnedQ` must carry `__rid`; its rids
-    * are collected in one Spark job). Public because row selection is
-    * independent of the column count l, so harnesses sweeping sub-table
-    * widths reuse one row selection.
+    * are collected in one Spark job). Public, with [[columnVectors]], so
+    * that a select can be timed layer by layer.
     */
   def rowsByCentroids(model: Model, binnedQ: DataFrame,
                       qCols: Seq[String], k: Int): Seq[Long] =
     selectRows(model, matrixRows(model, binnedQ), qCols, k)
-
-  /** Column-vectors (avg over rows of the column's cell vectors, i.e. the
-    * token-frequency-weighted mean) -> k-means into l − |U*| -> nearest
-    * columns, plus the targets, over the rows of a binned view.
-    */
-  def colsByCentroids(model: Model, binnedQ: DataFrame,
-                      qCols: Seq[String], l: Int,
-                      targets: Seq[String]): Seq[String] =
-    selectCols(model, matrixRows(model, binnedQ), qCols, l, targets)
 
   /** Column-vectors of `cols` over the rows of a binned view; see
     * [[columnVectorsOf]].

@@ -1,6 +1,6 @@
 package repro.embed
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.SparkSession
 import repro.core.BinnedMatrix
 
 import scala.collection.mutable
@@ -13,7 +13,7 @@ import scala.util.Random
   * walks yields token vectors usable by the same centroid selection as
   * SubTab.
   *
-  * The walks are generated on the driver over the collected
+  * The walks are generated on the driver over the
   * [[repro.core.BinnedMatrix]] (its codes and token -> rows index) —
   * deliberately the heavyweight comparator, matching the paper's finding
   * that EmbDI pre-processing is an order of magnitude slower than SubTab's
@@ -28,16 +28,16 @@ object EmbDI {
       seed: Long = 41,
   )
 
-  /** Train token vectors via graph random walks. Returns the cell-to-vector
-    * model restricted to *token* nodes (row/column nodes are training
-    * scaffolding, as in EmbDI).
+  /** Train token vectors via graph random walks over the binned table
+    * `mat`. Returns the cell-to-vector model restricted to *token* nodes
+    * (row/column nodes are training scaffolding, as in EmbDI).
     */
-  def train(binned: DataFrame, cols: Seq[String], p: Params = Params()): CellEmbedding.Model = {
-    import binned.sparkSession.implicits._
+  def train(mat: BinnedMatrix, p: Params = Params()): CellEmbedding.Model = {
+    val spark = SparkSession.active
+    import spark.implicits._
     // The graph on the driver: row i holds tokens codes(i), and token c
     // links to the rows rowsOf(c) and, via its column node, to the distinct
     // tokens of that column (in first-occurrence order).
-    val mat = BinnedMatrix.collect(binned, cols)
     val n = mat.n
     val m = mat.m
     val tokensByCol: Array[Array[Int]] =

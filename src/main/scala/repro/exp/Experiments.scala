@@ -103,8 +103,7 @@ object Experiments {
           if (n >= minResultRows) {
             val frags = qNext.fragments
             val rawView = q.apply(ctx.model.original) // NC clusters raw data
-            // Row selections are width-independent — compute once per query.
-            val stRows = SubTab.rowsByCentroids(ctx.model, view, qCols, K)
+            // NC's row selection is width-independent — compute once per query.
             val ncRows = repro.select.NaiveClustering.selectRows(rawView, qCols, K)
             // Small scorer over (a sample of) the result for RAN's best-of.
             val viewSample =
@@ -112,13 +111,12 @@ object Experiments {
               else view
             val scorer = new Scorer(BinnedMatrix.collect(viewSample, qCols), ctx.rules)
             widths.foreach { w =>
-              val stCols = SubTab.colsByCentroids(ctx.model, view, qCols, w, Nil)
               val ncCols = repro.select.NaiveClustering.selectCols(rawView, qCols, w)
               val ran = RandomBaseline.run(scorer, K, w,
                 budgetMillis = 10000, maxIters = Algos.RanBudget().iters,
                 seed = rng.nextLong()).sub
               val subs = Seq(
-                "SubTab" -> SubTable(stRows, stCols),
+                "SubTab" -> SubTab.select(ctx.model, Some(q.apply), K, w, Nil),
                 "NC" -> SubTable(ncRows, ncCols),
                 "RAN" -> ran)
               subs.foreach { case (algo, sub) =>
@@ -278,8 +276,10 @@ object Experiments {
           if (b == ctx.model.params.nBins) (ctx.model.binModel, ctx.binned)
           else Binning.bin(ctx.model.original, b)
         val cached = binnedB.cache()
-        val rules = Rule.targetFilter(
-          Apriori.mine(cached, bm.cols), ctx.meta.targets.toSet)
+        val mined =
+          if (b == ctx.model.params.nBins) Apriori.mine(ctx.model.matrix, Apriori.Params())
+          else Apriori.mine(cached, bm.cols)
+        val rules = Rule.targetFilter(mined, ctx.meta.targets.toSet)
         subs.foreach { case (a, sub) =>
           acc(("bins", b.toString, a)) += Metrics.cellCoverage(cached, bm.cols, rules, sub)
         }
@@ -288,7 +288,7 @@ object Experiments {
       }
 
       // -- support / confidence sweeps: reuse default frequent itemsets ---
-      val freq = Apriori.frequentItemsets(ctx.binned, ctx.cols, Apriori.Params())
+      val freq = Apriori.frequentItemsets(ctx.model.matrix, Apriori.Params())
       supports.foreach { s =>
         val minCount = math.ceil(s * freq.nRows).toLong
         val kept = Apriori.Frequents(freq.itemsets.filter(_.count >= minCount), freq.nRows)

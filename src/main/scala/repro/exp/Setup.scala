@@ -52,7 +52,7 @@ object Ctx {
               mining: Apriori.Params = Apriori.Params()): Ctx = {
     val (df, meta) = dfMeta
     val (model, prepMs) = timed(SubTab.preprocess(df, subTabParams))
-    val rulesAll = Apriori.mine(model.binned, model.cols, mining)
+    val rulesAll = Apriori.mine(model.matrix, mining)
     val rules = Rule.targetFilter(rulesAll, meta.targets.toSet)
     val scorer = new Scorer(model.matrix, rules)
     Ctx(meta.name, meta, model, rules, scorer, prepMs)
@@ -107,7 +107,7 @@ object Algos {
   def runEmbDI(ctx: Ctx, k: Int, l: Int,
                p: EmbDI.Params = EmbDI.Params()): (SubTable, Long) = {
     val (sub, totalMs) = Ctx.timed {
-      val vecs = EmbDI.train(ctx.binned, ctx.cols, p)
+      val vecs = EmbDI.train(ctx.model.matrix, p)
       val model = new SubTab.Model(ctx.model.original, ctx.model.binModel,
         ctx.binned, ctx.cols, vecs, ctx.model.params, ctx.model.matrix)
       SubTab.select(model, k, l, ctx.meta.targets)

@@ -2,7 +2,7 @@ package repro.rules
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
-import repro.core.Tables
+import repro.core.BinnedMatrix
 
 import scala.collection.mutable
 
@@ -10,17 +10,18 @@ import scala.collection.mutable
   * over a *binned* token table — the mining substrate behind the paper's
   * cell-coverage metric (§6.1: support 0.1, confidence 0.6, min rule size 3).
   *
-  * Distribution strategy: candidate itemsets live on the driver (they are
-  * small after support pruning); support counting is one
-  * `Dataset.mapPartitions` pass per level with the candidates broadcast,
-  * each partition accumulating a local count vector. Rows are interned to
-  * sorted arrays of frequent-token ids and checked against candidates via a
-  * per-row bitset, so a level costs O(rows × candidates × level).
+  * Mining runs on the driver, over the table's [[BinnedMatrix]]: candidate
+  * itemsets come level by level from apriori-gen, and support is counted
+  * vertically [Zaki, IEEE TKDE 2000]. Each frequent token keeps its rows
+  * (the matrix's `rowsOf` list) as a bitset; a candidate's count is the
+  * popcount of the AND of its tokens' bitsets, so memory stays at
+  * |L1| · n bits however many itemsets are frequent. Every row is mined:
+  * [[BinnedMatrix.requireFits]] already bounds the matrix, and the paper
+  * treats the rule set as an *evaluation* artifact, not part of the online
+  * algorithm.
   *
-  * For very large inputs, mining runs on a uniform row sample
-  * (`miningSampleRows`, default 50K) — support estimates at 0.1-level
-  * thresholds are stable at that size, and the paper itself treats the rule
-  * set as an *evaluation* artifact, not part of the online algorithm.
+  * [[countItemsets]] counts arbitrary itemsets with one distributed pass,
+  * independently of the miner.
   */
 object Apriori {
 
@@ -30,8 +31,6 @@ object Apriori {
       minConfidence: Double = 0.6,
       minRuleSize: Int = 3,
       maxItemsetSize: Int = 4,
-      miningSampleRows: Long = 50000,
-      seed: Long = 7,
   ) {
     require(minSupport > 0 && minSupport <= 1, "minSupport in (0,1]")
     require(minConfidence >= 0 && minConfidence <= 1, "minConfidence in [0,1]")
@@ -40,7 +39,7 @@ object Apriori {
   }
 
   /** A frequent itemset (tokens sorted) with its absolute count in the
-    * mining sample of `nRows` rows.
+    * `nRows` mined rows.
     */
   final case class Itemset(items: Vector[String], count: Long) {
     def support(nRows: Long): Double = count.toDouble / nRows
@@ -52,70 +51,50 @@ object Apriori {
       itemsets.map(s => s.items -> s.count).toMap
   }
 
-  /** Rows of `binned` as token arrays, in `cols` order, optionally sampled
-    * down to ~`cap` rows (deterministic in `seed`).
+  /** Frequent itemsets of sizes 1..maxItemsetSize at minSupport, level by
+    * level: L1 in token order, then each level's frequent candidates in
+    * [[genCandidates]] order.
     */
-  private def tokenRows(binned: DataFrame, cols: Seq[String],
-                        cap: Long, seed: Long): (Dataset[Array[String]], Long) = {
-    import binned.sparkSession.implicits._
-    val base = binned.select(array(cols.map(col): _*).as("toks"))
-    val n = base.count()
-    val sampled =
-      if (n <= cap) base
-      else base.sample(withReplacement = false, cap.toDouble / n, seed)
-    val ds = sampled.select($"toks").as[Seq[String]].map(_.toArray)
-    val m = ds.cache().count()
-    (ds, m)
-  }
+  def frequentItemsets(mat: BinnedMatrix, p: Params): Frequents = {
+    val n = mat.n
+    val minCount = math.max(1L, math.ceil(p.minSupport * n).toLong)
+    // L1: ids are positions in token order.
+    val l1 = mat.tokens.indices.filter(mat.rowsOf(_).length >= minCount)
+      .sortBy(mat.tokens(_)).toArray
+    val names = l1.map(mat.tokens)
+    val rowSets = l1.map { c =>
+      val b = new java.util.BitSet(n)
+      mat.rowsOf(c).foreach(b.set)
+      b
+    }
+    val all = mutable.ArrayBuffer[Itemset]()
+    all ++= l1.map(c => Itemset(Vector(mat.tokens(c)), mat.rowsOf(c).length.toLong))
 
-  /** Frequent itemsets of sizes 1..maxItemsetSize at minSupport. */
-  def frequentItemsets(binned: DataFrame, cols: Seq[String], p: Params): Frequents = {
-    import binned.sparkSession.implicits._
-    val (rows, n) = tokenRows(binned, cols, p.miningSampleRows, p.seed)
-    try {
-      val minCount = math.max(1L, math.ceil(p.minSupport * n).toLong)
-
-      // L1: one exploded aggregation.
-      val l1 = rows.flatMap(_.toSeq).groupBy($"value").count()
-        .where($"count" >= minCount)
-        .as[(String, Long)].collect().sortBy(_._1)
-      val dict: Map[String, Int] = l1.map(_._1).zipWithIndex.toMap
-      val names: Array[String] = l1.map(_._1)
-
-      val all = mutable.ArrayBuffer[Itemset]()
-      all ++= l1.map { case (t, c) => Itemset(Vector(t), c) }
-
-      // Rows interned to sorted arrays of frequent-token ids.
-      val dictB = binned.sparkSession.sparkContext.broadcast(dict)
-      val coded: Dataset[Array[Int]] = rows.map { toks =>
-        val d = dictB.value
-        toks.iterator.flatMap(d.get).toArray.sorted
-      }
-      coded.cache().count()
-
-      var level: Array[Array[Int]] = l1.indices.map(Array(_)).toArray
-      var k = 2
-      while (k <= p.maxItemsetSize && level.length > 1) {
-        val candidates = genCandidates(level)
-        if (candidates.isEmpty) { level = Array.empty }
-        else {
-          val counts = countCandidates(coded, candidates, names.length)
-          val next = mutable.ArrayBuffer[Array[Int]]()
-          candidates.indices.foreach { i =>
-            if (counts(i) >= minCount) {
-              next += candidates(i)
-              all += Itemset(candidates(i).toVector.map(names), counts(i))
-            }
-          }
-          level = next.toArray
+    val scratch = new java.util.BitSet(n)
+    var level: Array[Array[Int]] = l1.indices.map(Array(_)).toArray
+    var k = 2
+    while (k <= p.maxItemsetSize && level.length > 1) {
+      val next = mutable.ArrayBuffer[Array[Int]]()
+      genCandidates(level).foreach { cand =>
+        scratch.clear()
+        scratch.or(rowSets(cand(0)))
+        var j = 1
+        while (j < cand.length) { scratch.and(rowSets(cand(j))); j += 1 }
+        val count = scratch.cardinality().toLong
+        if (count >= minCount) {
+          next += cand
+          all += Itemset(cand.toVector.map(names), count)
         }
-        k += 1
       }
-      coded.unpersist()
-      dictB.destroy()
-      Frequents(all.toSeq, n)
-    } finally rows.unpersist()
+      level = next.toArray
+      k += 1
+    }
+    Frequents(all.toSeq, n)
   }
+
+  /** [[frequentItemsets]] over a binned frame (must carry `__rid`). */
+  def frequentItemsets(binned: DataFrame, cols: Seq[String], p: Params): Frequents =
+    frequentItemsets(BinnedMatrix.collect(binned, cols), p)
 
   /** Apriori-gen: join frequent (k-1)-sets sharing a (k-2)-prefix, prune
     * candidates with an infrequent (k-1)-subset. Inputs/outputs are sorted
@@ -176,8 +155,12 @@ object Apriori {
   }
 
   /** End-to-end mining. */
+  def mine(mat: BinnedMatrix, p: Params): Seq[Rule] =
+    rulesFrom(frequentItemsets(mat, p), p)
+
+  /** [[mine]] over a binned frame (must carry `__rid`). */
   def mine(binned: DataFrame, cols: Seq[String], p: Params = Params()): Seq[Rule] =
-    rulesFrom(frequentItemsets(binned, cols, p), p)
+    mine(BinnedMatrix.collect(binned, cols), p)
 
   /** Count arbitrary candidate itemsets (tokens need not be frequent) over
     * the *full* binned table — used by the DuckDB oracle tests and by the

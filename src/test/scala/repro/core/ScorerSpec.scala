@@ -162,10 +162,15 @@ class ScorerSpec extends SparkSpec {
 
   test("BinnedMatrix.collect preserves rid order and shape") {
     val (df, rows, _) = randomCase(4)
-    val mat = BinnedMatrix.collect(df, cols)
-    assert(mat.n == rows.size && mat.m == 4)
-    assert(mat.rids.toSeq == rows.map(_._1))
-    assert(mat.codes(5).map(mat.tokens).toSeq == rows(5)._2)
+    val first = BinnedMatrix.collect(df, cols)
+    // A repartitioned frame delivers its rows out of rid order.
+    Seq(df, df.repartition(3)).foreach { in =>
+      val mat = BinnedMatrix.collect(in, cols)
+      assert(mat.n == rows.size && mat.m == 4)
+      assert(mat.rids.toSeq == rows.map(_._1))
+      assert(mat.codes(5).map(mat.tokens).toSeq == rows(5)._2)
+      assert(mat.tokens.toSeq == first.tokens.toSeq)
+    }
   }
 
   test("BinnedMatrix codes decode to the cells and rowsOf lists exactly the rows holding each token") {

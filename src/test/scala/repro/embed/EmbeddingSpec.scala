@@ -2,7 +2,7 @@ package repro.embed
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{Binning, Tables}
+import repro.core.{BinnedMatrix, Binning, Tables}
 
 import scala.util.Random
 
@@ -78,7 +78,7 @@ class EmbeddingSpec extends SparkSpec {
   }
 
   test("EmbDI produces vectors for all tokens via graph walks") {
-    val model = EmbDI.train(binned, cols,
+    val model = EmbDI.train(BinnedMatrix.collect(binned, cols),
       EmbDI.Params(walksPerRow = 2, walkLength = 6,
         embed = CellEmbedding.Params(vectorSize = 12)))
     val tokens = binned.drop(Tables.Rid).collect()
@@ -92,8 +92,8 @@ class EmbeddingSpec extends SparkSpec {
   test("EmbDI gives equal vectors on two runs with a fixed seed") {
     val p = EmbDI.Params(walksPerRow = 2, walkLength = 6,
       embed = CellEmbedding.Params(vectorSize = 8), seed = 5)
-    val a = EmbDI.train(binned, cols, p)
-    val b = EmbDI.train(binned.repartition(3), cols, p)
+    val a = EmbDI.train(BinnedMatrix.collect(binned, cols), p)
+    val b = EmbDI.train(BinnedMatrix.collect(binned.repartition(3), cols), p)
     assert(a.vectors.keySet == b.vectors.keySet)
     a.vectors.foreach { case (t, v) => assert(v.toSeq == b(t).toSeq, s"token $t") }
   }

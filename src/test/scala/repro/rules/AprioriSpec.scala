@@ -1,12 +1,14 @@
 package repro.rules
 
-import org.apache.spark.sql.DataFrame
-import repro.core.{Binning, Tables}
-import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.scalacheck.{Gen, Prop}
+import repro.core.{BinnedMatrix, Binning, Tables}
+import repro.{Oracle, PropSupport, SparkSpec}
 
 import scala.util.Random
 
-class AprioriSpec extends SparkSpec {
+class AprioriSpec extends SparkSpec with PropSupport {
 
   val cols = Seq("x", "y", "z")
 
@@ -25,9 +27,10 @@ class AprioriSpec extends SparkSpec {
   }
 
   /** Driver-side brute-force frequent itemsets for verification. */
-  def bruteForce(df: DataFrame, minSupport: Double, maxLen: Int): Map[Vector[String], Long] = {
-    val rows = df.select(cols.map(org.apache.spark.sql.functions.col): _*)
-      .collect().map(r => cols.indices.map(r.getString).toSet)
+  def bruteForce(df: DataFrame, minSupport: Double, maxLen: Int,
+                 cs: Seq[String] = cols): Map[Vector[String], Long] = {
+    val rows = df.select(cs.map(org.apache.spark.sql.functions.col): _*)
+      .collect().map(r => cs.indices.map(r.getString).toSet)
     val n = rows.length
     val minCount = math.ceil(minSupport * n).toLong
     val allTokens = rows.flatten.distinct.toSeq.sorted
@@ -39,8 +42,7 @@ class AprioriSpec extends SparkSpec {
   }
 
   test("frequent itemsets match brute force") {
-    val p = Apriori.Params(minSupport = 0.2, maxItemsetSize = 3,
-      miningSampleRows = 100000)
+    val p = Apriori.Params(minSupport = 0.2, maxItemsetSize = 3)
     val freq = Apriori.frequentItemsets(planted, cols, p)
     val expected = bruteForce(planted, 0.2, 3)
     val got = freq.itemsets.map(s => s.items -> s.count).toMap
@@ -131,10 +133,43 @@ class AprioriSpec extends SparkSpec {
     assert(Apriori.mine(planted, cols, p3).nonEmpty)
   }
 
-  test("mining sample cap is honored") {
-    val p = Apriori.Params(minSupport = 0.2, miningSampleRows = 50)
-    val freq = Apriori.frequentItemsets(planted, cols, p)
-    assert(freq.nRows <= 80, s"expected ~50 rows in sample, got ${freq.nRows}")
+  /** A random binned table: n rows, m columns, column j drawing from
+    * `values(j)` values; deterministic in `seed`.
+    */
+  def randomBinned(n: Int, values: Seq[Int], seed: Long): (DataFrame, Seq[String]) = {
+    val rng = new Random(seed)
+    val cs = values.indices.map(j => s"c$j")
+    val rows = (0 until n).map { rid =>
+      Row.fromSeq(rid.toLong +: cs.zip(values).map { case (c, v) => tok(c, "v" + rng.nextInt(v)) })
+    }
+    val schema = StructType(StructField(Tables.Rid, LongType) +: cs.map(StructField(_, StringType)))
+    (spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema), cs)
+  }
+
+  test("matrix miner equals brute force and Spark counting on random tables") {
+    val cases = for {
+      n <- Gen.chooseNum(0, 60)
+      values <- Gen.chooseNum(2, 5).flatMap(m => Gen.listOfN(m, Gen.chooseNum(1, 4)))
+      minSupport <- Gen.chooseNum(0.05, 0.5)
+      maxLen <- Gen.chooseNum(1, 4)
+      seed <- Gen.chooseNum(0L, 1000000L)
+    } yield (n, values, minSupport, maxLen, seed)
+    checkProp(Prop.forAllNoShrink(cases) { case (n, values, minSupport, maxLen, seed) =>
+      val (df, cs) = randomBinned(n, values, seed)
+      val p = Apriori.Params(minSupport = minSupport, minRuleSize = 1, maxItemsetSize = maxLen)
+      val freq = Apriori.frequentItemsets(BinnedMatrix.collect(df, cs), p)
+      val got = freq.itemsets.map(s => s.items -> s.count)
+      val counted = Apriori.countItemsets(df, cs, freq.itemsets.map(_.items))
+      val sizes = freq.itemsets.map(_.items.size)
+      val l1 = freq.itemsets.takeWhile(_.items.size == 1).map(_.items.head)
+      Prop.propBoolean(got.toMap == bruteForce(df, minSupport, maxLen, cs) &&
+        got.size == got.toMap.size &&
+        got.forall { case (items, c) => counted(items) == c && items == items.sorted } &&
+        l1 == l1.sorted && sizes.zip(sizes.drop(1)).forall { case (a, b) => a <= b } &&
+        freq.nRows == n &&
+        Apriori.frequentItemsets(df.repartition(3), cs, p) == freq) :|
+        s"n=$n values=$values minSupport=$minSupport maxLen=$maxLen seed=$seed"
+    })
   }
 
   test("genCandidates joins on shared prefix and prunes") {
