@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -144,17 +145,32 @@ object Binning {
       ContinuousBins(c, edges)
     }
 
-    // Top-(nBins-1) categories per categorical column, one grouped pass each.
-    val catBins: Seq[ColBins] = categorical.map { c =>
-      // Fetch one extra row so we can tell "exactly nBins categories"
-      // (no OTHER needed) apart from "more than nBins" (group the tail).
-      val top = df.where(col(c).isNotNull)
-        .groupBy(col(c).cast(StringType).as("v")).count()
-        .orderBy(desc("count"), asc("v"))
-        .limit(nBins + 1)
-        .collect().map(_.getString(0)).toSeq
-      if (top.size <= nBins) CategoricalBins(c, top.toSet, hasOther = false)
-      else CategoricalBins(c, top.take(nBins - 1).toSet, hasOther = true)
+    // Top-(nBins-1) categories of every categorical column in one grouped
+    // pass: count each (column, value) pair and rank the values of a column
+    // by count, ties by value (Spark's UTF-8 binary order). Keep one extra
+    // rank so we can tell "exactly nBins categories" (no OTHER needed) apart
+    // from "more than nBins" (group the tail).
+    val top: Map[Int, Seq[String]] =
+      if (categorical.isEmpty) Map.empty
+      else {
+        val pairs = array(categorical.zipWithIndex.map { case (c, i) =>
+          struct(lit(i).as("c"), col(c).cast(StringType).as("v"))
+        }: _*)
+        val byCount = Window.partitionBy("c").orderBy(desc("count"), asc("v"))
+        df.select(explode(pairs).as("p")).select("p.c", "p.v")
+          .where(col("v").isNotNull)
+          .groupBy("c", "v").count()
+          .withColumn("rank", row_number().over(byCount))
+          .where(col("rank") <= nBins + 1)
+          .select("c", "v", "rank")
+          .collect()
+          .groupBy(_.getInt(0))
+          .map { case (c, rs) => c -> rs.sortBy(_.getInt(2)).map(_.getString(1)).toSeq }
+      }
+    val catBins: Seq[ColBins] = categorical.zipWithIndex.map { case (c, i) =>
+      val values = top.getOrElse(i, Nil)
+      if (values.size <= nBins) CategoricalBins(c, values.toSet, hasOther = false)
+      else CategoricalBins(c, values.take(nBins - 1).toSet, hasOther = true)
     }
 
     // Preserve original column order.

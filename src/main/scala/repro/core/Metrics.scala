@@ -85,10 +85,13 @@ object Metrics {
   }
 
   /** Binned rows of the sub-table as aligned token vectors over `sub.cols`
-    * (row order = rid order).
+    * (row order = rid order). One collect; the at most k rows are sorted on
+    * the driver.
     */
   def subTableTokens(binned: DataFrame, sub: SubTable): Seq[Seq[String]] =
-    Tables.materialize(binned, sub).collect()
+    binned.where(col(Tables.Rid).isin(sub.rowIds: _*))
+      .select((Tables.Rid +: sub.cols).map(col): _*).collect()
+      .sortBy(_.getLong(0))
       .map(r => sub.cols.indices.map(i => r.getString(i + 1))).toSeq
 
   /** Covered cells over upcov; vacuously 1 when no rule describes any cell. */

@@ -46,6 +46,13 @@ object BinnedMatrix {
     * hold 68 B per cell live, heap use peaks 140–250 B per cell above the
     * pre-collect level during the collect (garbage included), and the
     * interned codes keep 9 B per cell once the `Row`s are dropped.
+    *
+    * `SubTab.Model.local`, built after this collect, stays below it:
+    * measured on FL-like tables of 30K and 60K rows × 32 columns, the
+    * collected `Row`s of the original table hold 31 B per cell, the heap
+    * peaks 57 B per cell above the pre-collect level while the local
+    * relation is built from them, and the local copy keeps 36 B per cell
+    * once the `Row`s are dropped.
     */
   val BytesPerCell = 250L
 

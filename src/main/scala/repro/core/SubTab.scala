@@ -16,11 +16,14 @@ import repro.embed.{CellEmbedding, TabularCorpus}
   * into k clusters, take the row nearest each center. Column-vectors =
   * average over rows of the column's cell vectors; k-means into l − |U*|
   * clusters, take nearest columns, then add the target columns U*. Both
-  * clusterings run in [[CentroidSelect]]. A full-table select runs no Spark
-  * job; a query select runs one, which collects the query's surviving
-  * `__rid`s. Selection only touches the cached cell vectors and matrix, so
-  * query results get sub-tables without re-training — the paper's headline
-  * interactivity property.
+  * clusterings run in [[CentroidSelect]]. A query runs on the model's
+  * driver-local copy of the original table, over which Catalyst evaluates
+  * filters and projections while it plans the collect of the surviving
+  * `__rid`s; so a full-table select, and a select on a filter or projection
+  * query, runs no Spark job (a query Catalyst cannot fold, such as a join or
+  * an aggregate, runs as a job over the local table). Selection only touches
+  * the cached cell vectors and matrix, so query results get sub-tables
+  * without re-training — the paper's headline interactivity property.
   */
 object SubTab {
 
@@ -33,7 +36,8 @@ object SubTab {
   )
 
   /** Pre-processed state for a loaded table. `binned` is cached; `matrix`
-    * is the same binned table collected to the driver.
+    * is the same binned table collected to the driver, and `local` the
+    * original table collected into a local relation.
     */
   final class Model(
       val original: DataFrame,
@@ -51,6 +55,13 @@ object SubTab {
 
     def spark: org.apache.spark.sql.SparkSession = original.sparkSession
     def unpersist(): Unit = { binned.unpersist(); original.unpersist(); () }
+
+    /** `original` as a `LocalRelation` (one collect), which [[select]] runs
+      * its query on. [[preprocess]] builds it; a model made by the
+      * auxiliary constructor builds it on its first query select.
+      */
+    private[core] lazy val local: DataFrame =
+      spark.createDataFrame(java.util.Arrays.asList(original.collect(): _*), original.schema)
 
     private[core] lazy val colIdx: Map[String, Int] = matrix.cols.zipWithIndex.toMap
     /** The cell vector of each matrix code. */
@@ -76,7 +87,9 @@ object SubTab {
     val matrix = BinnedMatrix.collect(binned, cols)
     val corpus = TabularCorpus.build(binned, cols, p.corpusCap, p.corpusSeed)
     val cellVecs = CellEmbedding.train(corpus, p.embed)
-    new Model(df, binModel, binned, cols, cellVecs, p, matrix)
+    val model = new Model(df, binModel, binned, cols, cellVecs, p, matrix)
+    model.local
+    model
   }
 
   /** Centroid-based selection (Alg. 2 lines 6-19) over the full table. */
@@ -84,16 +97,16 @@ object SubTab {
     select(model, None, k, l, targets)
 
   /** Centroid-based selection over a query result. The query runs on the
-    * *original* table (it may filter on raw values and project columns);
-    * selection then reuses the pre-computed cell vectors for exactly the
-    * surviving rows and columns.
+    * *original* table's local copy (it may filter on raw values and project
+    * columns); selection then reuses the pre-computed cell vectors for
+    * exactly the surviving rows and columns.
     */
   def select(model: Model, query: Option[DataFrame => DataFrame],
              k: Int, l: Int, targets: Seq[String]): SubTable = {
     val (rows, qCols) = query match {
       case None => (model.matrix.rids.indices.toArray, model.cols)
       case Some(f) =>
-        val (q, qCols) = runQuery(model, f)
+        val (q, qCols) = runQuery(model.local, model.cols, f)
         (matrixRows(model, q), qCols)
     }
     require(targets.forall(qCols.contains),
@@ -111,23 +124,24 @@ object SubTab {
     query match {
       case None => (model.binned, model.cols)
       case Some(f) =>
-        val (q, qCols) = runQuery(model, f)
+        val (q, qCols) = runQuery(model.original, model.cols, f)
         val view = model.binned
           .join(q.select(Tables.Rid), Seq(Tables.Rid), "left_semi")
           .select((Tables.Rid +: qCols).map(col): _*)
         (view, qCols)
     }
 
-  /** The query's result on the original table and its surviving data
-    * columns.
+  /** The query's result on `table` (the original table or its local copy)
+    * and its surviving data columns among `cols`.
     */
-  private def runQuery(model: Model, f: DataFrame => DataFrame): (DataFrame, Seq[String]) = {
-    val q = f(model.original)
+  private def runQuery(table: DataFrame, cols: Seq[String],
+                       f: DataFrame => DataFrame): (DataFrame, Seq[String]) = {
+    val q = f(table)
     require(q.columns.contains(Tables.Rid), "query must preserve __rid")
-    (q, Tables.dataCols(q).filter(model.cols.contains))
+    (q, Tables.dataCols(q).filter(cols.contains))
   }
 
-  /** Matrix rows of the rids in `df` (one Spark job), ascending and without
+  /** Matrix rows of the rids in `df` (one collect), ascending and without
     * duplicates — the rows a left-semi join of the binned table keeps.
     */
   private def matrixRows(model: Model, df: DataFrame): Array[Int] = {

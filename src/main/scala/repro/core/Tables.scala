@@ -1,14 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** A selected sub-table: `k` row ids and `l` column names of the parent table.
   *
   * Row ids refer to the stable `__rid` column that every dataset in this
   * repo carries (see [[Tables.withRid]]). The sub-table is a *view
-  * recipe*, not a copy — materialize it against the original or the binned
-  * table with [[Tables.materialize]].
+  * recipe*, not a copy; [[Metrics.subTableTokens]] reads its binned cells.
   */
 final case class SubTable(rowIds: Seq[Long], cols: Seq[String]) {
   def k: Int = rowIds.size
@@ -32,12 +31,4 @@ object Tables {
   /** Data columns of `df`, i.e. everything except the rid. */
   def dataCols(df: DataFrame): Seq[String] =
     df.columns.toSeq.filterNot(_ == Rid)
-
-  /** Materialize a sub-table against `df` (which must carry `__rid`),
-    * preserving the requested column order. Row order follows rid order.
-    */
-  def materialize(df: DataFrame, sub: SubTable): DataFrame = {
-    val keep: Column = col(Rid).isin(sub.rowIds: _*)
-    df.where(keep).select((Rid +: sub.cols).map(col): _*).orderBy(col(Rid))
-  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{NumericType, StringType}
 import org.scalacheck.Prop
 import repro.{Oracle, PropSupport, SparkSpec}
 
@@ -155,6 +156,34 @@ class BinningSpec extends SparkSpec with PropSupport {
          |  ELSE 'v=b3' END AS bin, CAST(COUNT(*) AS BIGINT) AS n
          |FROM raw GROUP BY 1""".stripMargin
     Oracle.assertEquivalent(sparkCounts, sql, "raw" -> raw.select(col("v")))
+  }
+
+  /** Reference for `fit`'s categorical bins: one `groupBy`/`orderBy`/`limit`
+    * query per categorical column.
+    */
+  def perColumnCategoricalBins(d: org.apache.spark.sql.DataFrame, nBins: Int): Seq[ColBins] =
+    Tables.dataCols(d).filterNot(c => d.schema(c).dataType.isInstanceOf[NumericType]).map { c =>
+      val top = d.where(col(c).isNotNull)
+        .groupBy(col(c).cast(StringType).as("v")).count()
+        .orderBy(desc("count"), asc("v"))
+        .limit(nBins + 1)
+        .collect().map(_.getString(0)).toSeq
+      if (top.size <= nBins) CategoricalBins(c, top.toSet, hasOther = false)
+      else CategoricalBins(c, top.take(nBins - 1).toSet, hasOther = true)
+    }
+
+  test("fit's grouped categorical pass equals the per-column queries") {
+    import spark.implicits._
+    // Ties everywhere: 14 values of 6 rows each, non-ASCII ones among them.
+    val values = Seq("b", "a", "é", "日本", "Z", "ß", "OTHER", "Ω", "a ", "10", "9", "∅", "e", "B")
+    val ties = (0 until 84).map { i =>
+      (i.toLong, values(i % values.size), i % 3 == 0, if (i % 4 == 0) null else values((i / 6) % values.size))
+    }.toDF(Tables.Rid, "tie", "flag", "tie_nulls")
+    val tables = repro.data.Datasets.all(spark, 0.05).map(_._1) :+ ties :+ df
+    for (t <- tables; nBins <- Seq(2, 3, 5, 8)) {
+      val grouped = fit(t, nBins).bins.collect { case b: CategoricalBins => b }
+      assert(grouped == perColumnCategoricalBins(t, nBins), s"nBins = $nBins, ${t.columns.toSeq}")
+    }
   }
 
   test("fit rejects nBins < 2") {

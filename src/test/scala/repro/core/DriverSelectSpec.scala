@@ -4,17 +4,20 @@ import java.util.concurrent.atomic.AtomicInteger
 
 import org.apache.spark.TestBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
 import repro.data.Datasets
 import repro.exp.Ctx
 
 /** `SubTab.select` on the driver against the Spark path it replaced
-  * ([[SparkSelect]]), its Spark job count, its rid hash and the driver size
-  * guard of `SubTab.preprocess`.
+  * ([[SparkSelect]]), its Spark job count, its rid hash, the model's local
+  * copy of the original table and the driver size guard of
+  * `SubTab.preprocess`.
   */
-class DriverSelectSpec extends SparkSpec {
+class DriverSelectSpec extends SparkSpec with PropSupport {
 
   lazy val cy: (SubTab.Model, Seq[String]) = {
     val (df, meta) = Datasets.cyber(spark, 0.05)
@@ -110,16 +113,75 @@ class DriverSelectSpec extends SparkSpec {
     try { body; TestBus.drain(sc); started.get } finally sc.removeSparkListener(listener)
   }
 
-  test("a full-table select runs no Spark job and a query select runs one") {
+  test("full-table, filter and projection selects run no Spark job") {
     val (model, targets) = fl
     val q: Query = Some(d => d.where(col("AIRLINE") === "AA"))
     val p: Query = Some(d => d.select((Tables.Rid +: model.cols.take(9) :+ targets.head).map(col): _*))
     SubTab.select(model, q, 8, 6, targets) // warm the model's driver-side tables
     assert(jobs(SubTab.select(model, 8, 6)) == 0)
     assert(jobs(SubTab.select(model, 10, 7, targets)) == 0)
-    assert(jobs(SubTab.select(model, q, 8, 6, targets)) == 1)
-    assert(jobs(SubTab.select(model, p, 9, 5, targets)) == 1)
+    assert(jobs(SubTab.select(model, q, 8, 6, targets)) == 0)
+    assert(jobs(SubTab.select(model, p, 9, 5, targets)) == 0)
+    // A join is not folded while planning: it runs as jobs over the local copy.
+    assert(jobs(SubTab.select(model, bigAirlines, 8, 6, targets)) > 0)
   }
+
+  /** Rows of (airline, origin) groups with more than 20 flights: a left-semi
+    * join against an aggregate, which Catalyst cannot fold over a local
+    * relation.
+    */
+  val bigAirlines: Query = Some(d => d.join(
+    d.groupBy("AIRLINE", "ORIGIN_AIRPORT").count().where(col("count") > 20),
+    Seq("AIRLINE", "ORIGIN_AIRPORT"), "left_semi"))
+
+  test("a query Catalyst cannot fold (a join on an aggregate) equals the Spark path") {
+    val (model, _) = fl
+    val n = bigAirlines.get(model.original).count()
+    assert(n > 0 && n < model.matrix.rids.length)
+    sameAsSpark(fl, bigAirlines, withTargets = true)
+  }
+
+  test("the local copy gives the same rids as the original for predicateFor queries") {
+    val genTable: Gen[(Int, Seq[Row])] = for {
+      nBins <- Gen.choose(2, 5)
+      n <- Gen.choose(0, 40)
+      rows <- Gen.listOfN(n, genRow)
+    } yield (nBins, rows.zipWithIndex.map { case (r, i) => Row.fromSeq((i * 3L - 7) +: r) })
+    checkProp(Prop.forAll(genTable, Gen.choose(0L, 1000L)) { case ((nBins, rows), seed) =>
+      val df = spark.createDataFrame(java.util.Arrays.asList(rows: _*), localSchema).cache()
+      val (binModel, binned) = Binning.bin(df, nBins)
+      val model = new SubTab.Model(df, binModel, binned, binModel.cols,
+        repro.embed.CellEmbedding.Model(4, Map.empty), SubTab.Params())
+      val preds = binModel.vocabulary.map(repro.eda.Query.predicateFor(binModel, _))
+      val rnd = new scala.util.Random(seed)
+      val pair = rnd.shuffle(preds).take(2)
+      val queries: Seq[DataFrame => DataFrame] =
+        rnd.shuffle(preds).take(8).map(p => (d: DataFrame) => d.where(p.toColumn)) :+
+          ((d: DataFrame) => repro.eda.Query(pair, Some(pair.map(_.col).distinct))(d))
+      val ok = queries.forall(q => rids(q(model.local)) == rids(q(model.original)))
+      df.unpersist()
+      ok
+    }, minSuccessful = 25)
+  }
+
+  def rids(d: DataFrame): Seq[Long] = d.select(Tables.Rid).collect().map(_.getLong(0)).sorted.toSeq
+
+  /** `__rid`, a numeric column with NaNs and nulls, a small-domain integer
+    * column, a categorical column with non-ASCII values and enough of them
+    * for an OTHER bin, and an all-null numeric and categorical column.
+    */
+  val localSchema: StructType = StructType(Seq(
+    StructField(Tables.Rid, LongType, nullable = false),
+    StructField("x", DoubleType), StructField("k", IntegerType), StructField("cat", StringType),
+    StructField("none_num", DoubleType), StructField("none_cat", StringType)))
+
+  val genRow: Gen[Seq[Any]] = for {
+    x <- Gen.frequency(1 -> Gen.const(null), 1 -> Gen.const(Double.NaN),
+      4 -> Gen.choose(-3, 3).map(_.toDouble), 2 -> Gen.choose(-1e3, 1e3))
+    k <- Gen.frequency(1 -> Gen.const(null), 4 -> Gen.choose(0, 3).map(Int.box))
+    cat <- Gen.frequency(1 -> Gen.const(null),
+      6 -> Gen.oneOf("a", "b", "é", "ß", "日本", "Ω", "ζ", "\uD83D\uDE00", "A", "z", "OTHER"))
+  } yield Seq(x, k, cat, null, null)
 
   test("preprocess fails fast when the binned table would not fit the driver heap") {
     val (df, _) = Datasets.cyber(spark, 0.05)

@@ -96,21 +96,26 @@ class SubTabSpec extends SparkSpec {
     assert(cvs.exists(_._2.exists(_ != 0f)))
   }
 
-  test("materialize returns the sub-table contents in rid order") {
+  test("subTableTokens returns the sub-table contents in rid order") {
     val sub = SubTab.select(model, 4, 3)
-    val mat = Tables.materialize(df, sub)
-    assert(mat.columns.toSeq == Tables.Rid +: sub.cols)
-    assert(mat.select(Tables.Rid).collect().map(_.getLong(0)).toSeq == sub.rowIds.sorted)
+    val mat = model.matrix
+    val expected = sub.rowIds.sorted.map { rid =>
+      val row = mat.codes(java.util.Arrays.binarySearch(mat.rids, rid))
+      sub.cols.map(c => mat.tokens(row(mat.cols.indexOf(c))))
+    }
+    assert(Metrics.subTableTokens(model.binned, sub) == expected)
   }
 
-  test("withRid is idempotent and materialize projects in order") {
+  test("withRid is idempotent and subTableTokens projects in order") {
     val plain = Tables.withRid(df.select(Tables.dataCols(df).take(2).map(col): _*))
     assert(Tables.withRid(plain).columns.count(_ == Tables.Rid) == 1)
-    val rids = plain.select(Tables.Rid).limit(3).collect().map(_.getLong(0)).toSeq
-    val last = Tables.dataCols(plain).last
-    val mat = Tables.materialize(plain, SubTable(rids, Seq(last)))
-    assert(mat.columns.toSeq == Seq(Tables.Rid, last))
-    assert(mat.count() == 3)
+    val binned = Binning.bin(plain)._2.cache()
+    val rids = binned.select(Tables.Rid).limit(3).collect().map(_.getLong(0)).toSeq
+    val Seq(first, last) = Tables.dataCols(plain)
+    val toks = Metrics.subTableTokens(binned, SubTable(rids.reverse, Seq(last, first)))
+    assert(toks.size == 3)
+    assert(toks.forall(r => r.map(Binning.tokenCol) == Seq(last, first)))
+    binned.unpersist()
   }
 
   test("an empty query result gives no rows and min(l, |qCols|) columns with the targets") {
