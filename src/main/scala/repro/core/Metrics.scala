@@ -4,6 +4,9 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.rules.Rule
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
 /** The paper's informativeness metrics (§3.2), computed distributedly.
   *
   * - cell coverage (Def. 3.6): |union of cell(R,T) over rules covered by the
@@ -14,12 +17,16 @@ import repro.rules.Rule
   *
   * Both cell(R,T) and whether a sub-table covers R depend only on R's
   * itemset lhs ∪ rhs, so coverage works on the distinct itemsets of the rule
-  * set. The sub-table side (which itemsets are covered) is decided on the
-  * driver — sub-tables are k×l with k,l ≈ 10 — and one Spark pass then
-  * counts both unions: the (small) itemset list is shipped with the task,
-  * each row computes the sets of its columns touched by any and by a covered
-  * itemset, and the two cell counts are summed. An exact score is two Spark
-  * actions: one collect of the sub-table's tokens and that pass.
+  * set. An exact score is one Spark pass. Before it, the driver interns the
+  * items to int codes, indexes each itemset by its first item and marks as
+  * *candidates* the itemsets whose columns all lie in the sub-table's
+  * columns: only they can be covered. Each row then checks the itemsets
+  * indexed under its own tokens, adds its cells described by any itemset to
+  * upcov, and yields its *signature*, the sorted candidates it satisfies.
+  * The pass returns upcov, the number of rows per signature and the
+  * sub-table's rows with their signatures. The covered itemsets are the
+  * union of the sub-table rows' signatures, and the covered cells are the
+  * sum over signatures of count × |∪ columns of its covered itemsets|.
   */
 object Metrics {
 
@@ -35,54 +42,10 @@ object Metrics {
 
   /** |union over `rules` of cell(R,T)| — the number of cells of the binned
     * table described by at least one of the given rules. One distributed
-    * pass; cost O(rows × distinct itemsets).
+    * pass, or none for no rules.
     */
   def describedCellCount(binned: DataFrame, cols: Seq[String], rules: Seq[Rule]): Long =
-    cellCounts(binned, cols, rules.map(_.items).distinct, Set.empty)._1
-
-  /** One pass over the binned table: (cells described by any of `itemsets`,
-    * cells described by the itemsets in `covered`).
-    */
-  private def cellCounts(binned: DataFrame, cols: Seq[String], itemsets: Seq[Vector[String]],
-                         covered: Set[Vector[String]]): (Long, Long) = {
-    import binned.sparkSession.implicits._
-    if (itemsets.isEmpty) return (0L, 0L)
-    val colIdx = cols.zipWithIndex.toMap
-    // Per itemset: (column indices, required tokens, covered?).
-    val compiled: Array[(Array[Int], Array[String], Boolean)] = itemsets.iterator.map { items =>
-      (items.map(t => colIdx(Binning.tokenCol(t))).toArray, items.toArray, covered(items))
-    }.toArray
-    val ds = binned.select(array(cols.map(col): _*).as("toks")).as[Seq[String]]
-    val perPartition = ds.mapPartitions { it =>
-      var described = 0L
-      var coveredCells = 0L
-      val any = new java.util.BitSet(cols.size)
-      val cov = new java.util.BitSet(cols.size)
-      it.foreach { toksSeq =>
-        val toks = toksSeq.toArray
-        any.clear(); cov.clear()
-        var ri = 0
-        while (ri < compiled.length) {
-          val (idxs, items, isCovered) = compiled(ri)
-          var j = 0; var ok = true
-          while (ok && j < idxs.length) { ok = toks(idxs(j)) == items(j); j += 1 }
-          if (ok) {
-            var j2 = 0
-            while (j2 < idxs.length) {
-              any.set(idxs(j2))
-              if (isCovered) cov.set(idxs(j2))
-              j2 += 1
-            }
-          }
-          ri += 1
-        }
-        described += any.cardinality()
-        coveredCells += cov.cardinality()
-      }
-      Iterator.single((described, coveredCells))
-    }
-    perPartition.reduce((a, b) => (a._1 + b._1, a._2 + b._2))
-  }
+    if (rules.isEmpty) 0L else pass(binned, cols, rules, SubTable(Nil, Nil)).upcov
 
   /** Binned rows of the sub-table as aligned token vectors over `sub.cols`
     * (row order = rid order). One collect; the at most k rows are sorted on
@@ -103,16 +66,7 @@ object Metrics {
     */
   def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
                    sub: SubTable): Double =
-    cellCoverage(binned, cols, rules, sub.cols, subTableTokens(binned, sub))
-
-  /** Cell coverage given the sub-table's collected tokens over `subCols`. */
-  private def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
-                           subCols: Seq[String], subRows: Seq[Seq[String]]): Double = {
-    val itemsets = rules.distinctBy(_.items)
-    val covered = coveredRules(itemsets, subRows.map(_.toSet), subCols.toSet).map(_.items)
-    val (upcov, coveredCells) = cellCounts(binned, cols, itemsets.map(_.items), covered.toSet)
-    coverageRatio(coveredCells, upcov)
-  }
+    scores(binned, cols, rules, sub).cellCov
 
   /** Pairwise Jaccard-like similarity (Def. 3.7): fraction of columns on
     * which the two rows fall in the same bin.
@@ -145,15 +99,103 @@ object Metrics {
   /** Cell coverage, diversity and the combined score (Eq. 3). */
   final case class Scores(cellCov: Double, divers: Double, combined: Double)
 
-  /** Exact scores of a sub-table over a target-filtered rule set: one
-    * collect of the sub-table's tokens, shared by coverage and diversity,
-    * and one coverage pass.
+  /** Exact scores of a sub-table over a target-filtered rule set, from one
+    * Spark pass that serves coverage and diversity alike.
     */
   def scores(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
              sub: SubTable, alpha: Double = 0.5): Scores = {
-    val subRows = subTableTokens(binned, sub)
-    val cc = cellCoverage(binned, cols, rules, sub.cols, subRows)
-    val dv = diversity(subRows)
+    val p = pass(binned, cols, rules, sub)
+    val covered = new java.util.BitSet(p.itemsetCols.length)
+    p.subRows.foreach(_.signature.foreach(covered.set))
+    val cells = new java.util.BitSet(cols.size)
+    val coveredCells = p.signatures.iterator.map { case (signature, rows) =>
+      cells.clear()
+      signature.foreach(s => if (covered.get(s)) p.itemsetCols(s).foreach(cells.set))
+      rows * cells.cardinality()
+    }.sum
+    val cc = coverageRatio(coveredCells, p.upcov)
+    val dv = diversity(p.subRows.map(_.tokens))
     Scores(cc, dv, alpha * cc + (1 - alpha) * dv)
+  }
+
+  /** A sub-table row: its rid, its tokens over `sub.cols` and its signature. */
+  private final case class SubRow(rid: Long, tokens: Seq[String], signature: Seq[Int])
+
+  /** What the pass returns. `itemsetCols(s)` holds the column indices of
+    * distinct itemset s, signatures are ids of candidate itemsets, and rows
+    * that satisfy no candidate are not counted in `signatures`. `subRows`
+    * are in rid order.
+    */
+  private final case class Pass(upcov: Long, signatures: Seq[(Seq[Int], Long)],
+                                subRows: Seq[SubRow], itemsetCols: Array[Array[Int]])
+
+  /** One Spark pass over `binned` for the distinct itemsets of `rules`,
+    * with the candidates and sub-table rows of `sub`.
+    */
+  private def pass(binned: DataFrame, cols: Seq[String], rules: Seq[Rule], sub: SubTable): Pass = {
+    // An empty itemset describes no cell, so it cannot change a count.
+    val itemsets = rules.iterator.map(_.items).filter(_.nonEmpty).distinct.toArray
+    val colIdx = cols.zipWithIndex.toMap
+    val items = itemsets.iterator.flatten.distinct.toArray
+    val code = items.iterator.zipWithIndex.toMap
+    val codeCol = items.map(t => colIdx(Binning.tokenCol(t)))
+    val itemsetCodes = itemsets.map(_.map(code).toArray)
+    val itemsetCols = itemsetCodes.map(_.map(codeCol))
+    val byFirst = Array.fill(items.length)(Array.newBuilder[Int])
+    itemsetCodes.indices.foreach(s => byFirst(itemsetCodes(s)(0)) += s)
+    val indexed = byFirst.map(_.result())
+    val subCols = sub.cols.map(colIdx).toArray
+    val candidate = itemsetCols.map(_.forall(subCols.contains))
+    val subRids = sub.rowIds.toSet
+    val m = cols.size
+
+    val parts = binned.select((Tables.Rid +: cols).map(col): _*).rdd.mapPartitions { rows =>
+      var upcov = 0L
+      val counts = mutable.HashMap[Seq[Int], Long]()
+      val subRows = mutable.ArrayBuffer[SubRow]()
+      val codes = new Array[Int](m)
+      val any = new java.util.BitSet(m)
+      val sig = new Array[Int](itemsetCodes.length)
+      rows.foreach { row =>
+        var j = 0
+        while (j < m) {
+          // A token counts as item c only in c's own column.
+          val c = code.getOrElse(row.getString(j + 1), -1)
+          codes(j) = if (c >= 0 && codeCol(c) == j) c else -1
+          j += 1
+        }
+        any.clear()
+        var nSig = 0
+        j = 0
+        while (j < m) {
+          if (codes(j) >= 0) {
+            val ids = indexed(codes(j))
+            var x = 0
+            while (x < ids.length) {
+              val s = ids(x)
+              val sc = itemsetCodes(s); val cs = itemsetCols(s)
+              var t = 1; var ok = true
+              while (ok && t < sc.length) { ok = codes(cs(t)) == sc(t); t += 1 }
+              if (ok) {
+                cs.foreach(any.set)
+                if (candidate(s)) { sig(nSig) = s; nSig += 1 }
+              }
+              x += 1
+            }
+          }
+          j += 1
+        }
+        upcov += any.cardinality()
+        java.util.Arrays.sort(sig, 0, nSig)
+        val signature = ArraySeq.unsafeWrapArray(java.util.Arrays.copyOf(sig, nSig))
+        if (nSig > 0) counts(signature) = counts.getOrElse(signature, 0L) + 1
+        val rid = row.getLong(0)
+        if (subRids(rid)) subRows += SubRow(rid, subCols.toSeq.map(i => row.getString(i + 1)), signature)
+      }
+      Iterator.single((upcov, counts.toSeq, subRows.toSeq))
+    }.collect()
+
+    Pass(parts.iterator.map(_._1).sum, parts.flatMap(_._2).toSeq,
+      parts.flatMap(_._3).sortBy(_.rid).toSeq, itemsetCols)
   }
 }

@@ -240,8 +240,8 @@ object Experiments {
     val txt = TextTable.render("Fig. 9: SubTab running time per dataset",
       Seq("dataset", "rows", "cols", "pre-process", "select(full)", "select(query)"),
       rows.map(r => Seq(r.dataset, r.nRows.toString, r.nCols.toString,
-        TextTable.secs(r.prepMillis), TextTable.secs(r.selectMillis),
-        TextTable.secs(r.querySelectMillis))))
+        TextTable.millis(r.prepMillis), TextTable.millis(r.selectMillis),
+        TextTable.millis(r.querySelectMillis))))
     (rows, txt)
   }
 

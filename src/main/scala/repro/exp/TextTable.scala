@@ -16,4 +16,5 @@ object TextTable {
   def f(d: Double): String = f"$d%.3f"
   def pct(d: Double): String = f"${d * 100}%.1f%%"
   def secs(ms: Long): String = f"${ms / 1000.0}%.1fs"
+  def millis(ms: Long): String = s"$ms ms"
 }

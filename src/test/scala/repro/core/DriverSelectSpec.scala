@@ -1,9 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-
 import org.apache.spark.TestBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -101,17 +98,7 @@ class DriverSelectSpec extends SparkSpec with PropSupport {
     }
   }
 
-  /** Spark jobs started while `body` runs. */
-  def jobs(body: => Any): Int = {
-    val sc = spark.sparkContext
-    TestBus.drain(sc)
-    val started = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = { started.incrementAndGet(); () }
-    }
-    sc.addSparkListener(listener)
-    try { body; TestBus.drain(sc); started.get } finally sc.removeSparkListener(listener)
-  }
+  def jobs(body: => Any): Int = TestBus.jobs(spark.sparkContext)(body)
 
   test("full-table, filter and projection selects run no Spark job") {
     val (model, targets) = fl

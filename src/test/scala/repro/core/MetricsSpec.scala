@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.TestBus
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.rules.Rule
@@ -156,6 +157,18 @@ class MetricsSpec extends SparkSpec {
   test("scores bundles the three metrics consistently") {
     val s = Metrics.scores(binned, cols, rules, t1)
     assert(math.abs(s.combined - (0.5 * s.cellCov + 0.5 * s.divers)) < 1e-12)
+  }
+
+  test("scores, cellCoverage and describedCellCount each run one Spark job") {
+    def jobs(body: => Any): Int = TestBus.jobs(spark.sparkContext)(body)
+    val cached = binned.repartition(3).cache()
+    cached.count()
+    Seq(binned, cached).foreach { df =>
+      assert(jobs(Metrics.scores(df, cols, rules, t1)) == 1)
+      assert(jobs(Metrics.cellCoverage(df, cols, rules, t3)) == 1)
+      assert(jobs(Metrics.describedCellCount(df, cols, rules)) == 1)
+    }
+    cached.unpersist()
   }
 
   test("target filter keeps only rules touching target columns") {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SparkSpec
 import repro.rules.Rule
 import repro.select.Greedy
@@ -12,26 +12,10 @@ import scala.util.Random
   */
 class ScorerSpec extends SparkSpec {
 
-  val cols = Seq("a", "b", "c", "d")
+  import ScorerSpec.cols
 
-  /** Random binned table, rules and sub-tables; deterministic in seed. */
-  def randomCase(seed: Int): (DataFrame, Seq[(Long, Seq[String])], Seq[Rule]) = {
-    val rng = new Random(seed)
-    val n = 20 + rng.nextInt(30)
-    val rows = (0L until n).map { rid =>
-      rid -> cols.map(c => Binning.token(c, "v" + rng.nextInt(3)))
-    }
-    import spark.implicits._
-    val df = rows.map { case (rid, vs) => (rid, vs(0), vs(1), vs(2), vs(3)) }
-      .toDF((Tables.Rid +: cols): _*)
-    val rules = (0 until 10).map { _ =>
-      val k = 1 + rng.nextInt(3)
-      val rcols = rng.shuffle(cols).take(k + 1)
-      val items = rcols.map(c => Binning.token(c, "v" + rng.nextInt(3)))
-      Rule(items.init, Seq(items.last), 0.1, 0.6)
-    }
-    (df, rows, rules.distinctBy(_.items))
-  }
+  def randomCase(seed: Int): (DataFrame, Seq[(Long, Seq[String])], Seq[Rule]) =
+    ScorerSpec.randomCase(spark, seed)
 
   test("scorer cellCov/diversity/combined equal distributed Metrics on random cases") {
     (1 to 5).foreach { seed =>
@@ -188,5 +172,29 @@ class ScorerSpec extends SparkSpec {
       }
       assert(mat.code(Binning.token("a", "zz")) == -1)
     }
+  }
+}
+
+object ScorerSpec {
+
+  val cols = Seq("a", "b", "c", "d")
+
+  /** Random binned table, rules and sub-tables; deterministic in seed. */
+  def randomCase(spark: SparkSession, seed: Int): (DataFrame, Seq[(Long, Seq[String])], Seq[Rule]) = {
+    val rng = new Random(seed)
+    val n = 20 + rng.nextInt(30)
+    val rows = (0L until n).map { rid =>
+      rid -> cols.map(c => Binning.token(c, "v" + rng.nextInt(3)))
+    }
+    import spark.implicits._
+    val df = rows.map { case (rid, vs) => (rid, vs(0), vs(1), vs(2), vs(3)) }
+      .toDF((Tables.Rid +: cols): _*)
+    val rules = (0 until 10).map { _ =>
+      val k = 1 + rng.nextInt(3)
+      val rcols = rng.shuffle(cols).take(k + 1)
+      val items = rcols.map(c => Binning.token(c, "v" + rng.nextInt(3)))
+      Rule(items.init, Seq(items.last), 0.1, 0.6)
+    }
+    (df, rows, rules.distinctBy(_.items))
   }
 }

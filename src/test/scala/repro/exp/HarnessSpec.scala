@@ -21,6 +21,7 @@ class HarnessSpec extends SparkSpec {
     assert(TextTable.f(0.12345) == "0.123")
     assert(TextTable.pct(0.5) == "50.0%")
     assert(TextTable.secs(1500) == "1.5s")
+    assert(TextTable.millis(1500) == "1500 ms")
   }
 
   test("Ctx.prepare wires model, rules, scorer and upcov together") {
