@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.TestBus
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -14,6 +15,9 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Spark jobs started while `body` runs. */
+  def jobs(body: => Any): Int = TestBus.jobs(spark.sparkContext)(body)
 
   override def afterAll(): Unit = { super.afterAll() }
 }

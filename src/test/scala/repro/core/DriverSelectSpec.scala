@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.TestBus
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -97,8 +96,6 @@ class DriverSelectSpec extends SparkSpec with PropSupport {
       }
     }
   }
-
-  def jobs(body: => Any): Int = TestBus.jobs(spark.sparkContext)(body)
 
   test("full-table, filter and projection selects run no Spark job") {
     val (model, targets) = fl

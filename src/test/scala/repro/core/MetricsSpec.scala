@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.TestBus
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.rules.Rule
@@ -160,7 +159,6 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("scores, cellCoverage and describedCellCount each run one Spark job") {
-    def jobs(body: => Any): Int = TestBus.jobs(spark.sparkContext)(body)
     val cached = binned.repartition(3).cache()
     cached.count()
     Seq(binned, cached).foreach { df =>

@@ -22,10 +22,6 @@ object TwoActionMetrics {
     Metrics.Scores(cc, dv, alpha * cc + (1 - alpha) * dv)
   }
 
-  def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
-                   sub: SubTable): Double =
-    cellCoverage(binned, cols, rules, sub.cols, Metrics.subTableTokens(binned, sub))
-
   private def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
                            subCols: Seq[String], subRows: Seq[Seq[String]]): Double = {
     val itemsets = rules.distinctBy(_.items)
