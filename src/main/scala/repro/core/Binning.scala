@@ -1,9 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import org.apache.spark.storage.StorageLevel
 
 /** Binning substrate (paper Def. 3.2).
   *
@@ -97,8 +99,14 @@ object Binning {
     def vocabulary: Seq[String] = bins.flatMap(_.tokens).distinct
 
     /** Binned table: same `__rid`, each data column replaced by its token.
-      * Implemented with per-column deterministic UDFs so the plan stays
-      * small even for 298-column tables (USF).
+      * Per-column deterministic UDFs keep the projection's plan small even
+      * for 298-column tables (USF). The projection is materialized once, by
+      * an eager local checkpoint at [[Storage]] (one Spark job), and the
+      * returned frame scans the stored rows: later jobs over it ship neither
+      * `df`'s lineage nor the UDFs. Its rows, their order and their
+      * partitioning are the projection's. The stored blocks live on the
+      * executors (the driver's block manager in local mode) and cannot be
+      * recomputed, so losing an executor loses them; [[release]] frees them.
       */
     def transform(df: DataFrame): DataFrame = {
       val fields = df.schema.fields.map(f => f.name -> f.dataType).toMap
@@ -113,8 +121,25 @@ object Binning {
             f(col(c).cast(StringType)).as(c)
         }
       }
-      df.select(outCols: _*)
+      df.select(outCols: _*).localCheckpoint(eager = true, Storage)
     }
+  }
+
+  /** Storage level of [[BinModel.transform]]'s checkpoint (DESIGN.md §2
+    * records the measurement behind the choice).
+    */
+  val Storage: StorageLevel = StorageLevel.MEMORY_AND_DISK
+
+  /** Free what [[BinModel.transform]] stored for `binned`, and `binned`'s
+    * own cache if it has one. For any other frame this is `unpersist()`.
+    */
+  def release(binned: DataFrame): Unit = {
+    binned.unpersist()
+    binned.queryExecution.logical match {
+      case r: LogicalRDD => r.rdd.unpersist()
+      case _ =>
+    }
+    ()
   }
 
   /** Decide continuous-vs-categorical from the schema: numeric types are

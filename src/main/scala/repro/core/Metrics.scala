@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 import repro.rules.Rule
 
 import scala.collection.immutable.ArraySeq
@@ -27,6 +28,12 @@ import scala.collection.mutable
   * sub-table's rows with their signatures. The covered itemsets are the
   * union of the sub-table rows' signatures, and the covered cells are the
   * sum over signatures of count × |∪ columns of its covered itemsets|.
+  *
+  * The pass reads Spark's internal rows (`queryExecution.toRdd`), with no
+  * `Row` deserializer: it looks each cell's `UTF8String` up in the item
+  * codes and makes `String`s only of the at most k sub-table rows' tokens.
+  * It accepts any binned frame; over the one [[Binning.BinModel.transform]]
+  * stores, its job ships no ingestion lineage.
   */
 object Metrics {
 
@@ -133,11 +140,13 @@ object Metrics {
     * with the candidates and sub-table rows of `sub`.
     */
   private def pass(binned: DataFrame, cols: Seq[String], rules: Seq[Rule], sub: SubTable): Pass = {
+    val colIdx = cols.zipWithIndex.toMap
+    sub.cols.foreach(c => require(colIdx.contains(c), s"sub-table column '$c' is not one of the scored columns"))
     // An empty itemset describes no cell, so it cannot change a count.
     val itemsets = rules.iterator.map(_.items).filter(_.nonEmpty).distinct.toArray
-    val colIdx = cols.zipWithIndex.toMap
     val items = itemsets.iterator.flatten.distinct.toArray
     val code = items.iterator.zipWithIndex.toMap
+    val utf8Code = code.map { case (t, c) => UTF8String.fromString(t) -> c }
     val codeCol = items.map(t => colIdx(Binning.tokenCol(t)))
     val itemsetCodes = itemsets.map(_.map(code).toArray)
     val itemsetCols = itemsetCodes.map(_.map(codeCol))
@@ -149,7 +158,7 @@ object Metrics {
     val subRids = sub.rowIds.toSet
     val m = cols.size
 
-    val parts = binned.select((Tables.Rid +: cols).map(col): _*).rdd.mapPartitions { rows =>
+    val parts = binned.select((Tables.Rid +: cols).map(col): _*).queryExecution.toRdd.mapPartitions { rows =>
       var upcov = 0L
       val counts = mutable.HashMap[Seq[Int], Long]()
       val subRows = mutable.ArrayBuffer[SubRow]()
@@ -160,7 +169,7 @@ object Metrics {
         var j = 0
         while (j < m) {
           // A token counts as item c only in c's own column.
-          val c = code.getOrElse(row.getString(j + 1), -1)
+          val c = utf8Code.getOrElse(row.getUTF8String(j + 1), -1)
           codes(j) = if (c >= 0 && codeCol(c) == j) c else -1
           j += 1
         }
@@ -190,7 +199,10 @@ object Metrics {
         val signature = ArraySeq.unsafeWrapArray(java.util.Arrays.copyOf(sig, nSig))
         if (nSig > 0) counts(signature) = counts.getOrElse(signature, 0L) + 1
         val rid = row.getLong(0)
-        if (subRids(rid)) subRows += SubRow(rid, subCols.toSeq.map(i => row.getString(i + 1)), signature)
+        if (subRids(rid)) subRows += SubRow(rid, subCols.toSeq.map { i =>
+          val t = row.getUTF8String(i + 1)
+          if (t == null) null else t.toString
+        }, signature)
       }
       Iterator.single((upcov, counts.toSeq, subRows.toSeq))
     }.collect()

@@ -8,8 +8,9 @@ import repro.embed.{CellEmbedding, TabularCorpus}
   *
   * Pre-processing (once per table): normalize + bin, build the tabular
   * corpus, train the cell embedding M : token -> R^gamma, and collect the
-  * binned table into the model's [[BinnedMatrix]] (failing fast when it
-  * would not fit the driver heap, see [[BinnedMatrix.requireFits]]).
+  * binned table into the model's [[BinnedMatrix]] (failing fast, before
+  * binning, when it would not fit the driver heap, see
+  * [[BinnedMatrix.requireFits]]).
   *
   * Selection (per display / per query) runs on the driver, over the
   * matrix's codes: row-vectors = average of the row's cell vectors; k-means
@@ -35,9 +36,10 @@ object SubTab {
       kmeansSeed: Long = 17,
   )
 
-  /** Pre-processed state for a loaded table. `binned` is cached; `matrix`
-    * is the same binned table collected to the driver, and `local` the
-    * original table collected into a local relation.
+  /** Pre-processed state for a loaded table. `binned` is the binned table
+    * as [[Binning.BinModel.transform]] stored it; `matrix` is the same
+    * binned table collected to the driver, and `local` the original table
+    * collected into a local relation.
     */
   final class Model(
       val original: DataFrame,
@@ -54,7 +56,7 @@ object SubTab {
       this(original, binModel, binned, cols, cellVecs, params, BinnedMatrix.collect(binned, cols))
 
     def spark: org.apache.spark.sql.SparkSession = original.sparkSession
-    def unpersist(): Unit = { binned.unpersist(); original.unpersist(); () }
+    def unpersist(): Unit = { Binning.release(binned); original.unpersist(); () }
 
     /** `original` as a `LocalRelation` (one collect), which [[select]] runs
       * its query on. [[preprocess]] builds it; a model made by the
@@ -79,11 +81,9 @@ object SubTab {
   /** [[preprocess]] against a driver heap of `heapBytes`. */
   private[core] def preprocess(df0: DataFrame, p: Params, heapBytes: Long): Model = {
     val df = Tables.withRid(df0).cache()
-    df.count()
-    val (binModel, binnedRaw) = Binning.bin(df, p.nBins)
-    val binned = binnedRaw.cache()
+    BinnedMatrix.requireFits(df.count(), Tables.dataCols(df).size, heapBytes)
+    val (binModel, binned) = Binning.bin(df, p.nBins)
     val cols = binModel.cols
-    BinnedMatrix.requireFits(binned.count(), cols.size, heapBytes)
     val matrix = BinnedMatrix.collect(binned, cols)
     val corpus = TabularCorpus.build(binned, cols, p.corpusCap, p.corpusSeed)
     val cellVecs = CellEmbedding.train(corpus, p.embed)

@@ -275,16 +275,14 @@ object Experiments {
         val (bm, binnedB) =
           if (b == ctx.model.params.nBins) (ctx.model.binModel, ctx.binned)
           else Binning.bin(ctx.model.original, b)
-        val cached = binnedB.cache()
         val mined =
           if (b == ctx.model.params.nBins) Apriori.mine(ctx.model.matrix, Apriori.Params())
-          else Apriori.mine(cached, bm.cols)
+          else Apriori.mine(binnedB, bm.cols)
         val rules = Rule.targetFilter(mined, ctx.meta.targets.toSet)
         subs.foreach { case (a, sub) =>
-          acc(("bins", b.toString, a)) += Metrics.cellCoverage(cached, bm.cols, rules, sub)
+          acc(("bins", b.toString, a)) += Metrics.cellCoverage(binnedB, bm.cols, rules, sub)
         }
-        if (!(cached eq ctx.binned)) cached.unpersist()
-        ()
+        if (!(binnedB eq ctx.binned)) Binning.release(binnedB)
       }
 
       // -- support / confidence sweeps: reuse default frequent itemsets ---

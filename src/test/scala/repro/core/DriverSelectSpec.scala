@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.TestBus
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -177,5 +178,18 @@ class DriverSelectSpec extends SparkSpec with PropSupport {
     Seq(s"n = $n rows", "m = 15 columns", s"${BinnedMatrix.BytesPerCell} B per cell", "MB heap")
       .foreach(part => assert(e.getMessage.contains(part), e.getMessage))
     BinnedMatrix.requireFits(n, 15, 2 * need)
+  }
+
+  test("an oversized table fails before binning: no binning job starts") {
+    val (df, _) = Datasets.cyber(spark, 0.05)
+    val sc = spark.sparkContext
+    var e: IllegalArgumentException = null
+    val sites = TestBus.jobSites(sc) {
+      e = intercept[IllegalArgumentException](SubTab.preprocess(df, Ctx.BenchSubTab, heapBytes = 1000000L))
+    }
+    assert(e.getMessage.contains("more than half of the 1 MB heap"), e.getMessage)
+    assert(sites.nonEmpty && !sites.exists(_.contains("Binning")), sites)
+    // Binning's jobs do name it.
+    assert(TestBus.jobSites(sc)(Binning.release(Binning.bin(df)._2)).exists(_.contains("Binning")))
   }
 }

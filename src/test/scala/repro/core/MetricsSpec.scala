@@ -169,6 +169,18 @@ class MetricsSpec extends SparkSpec {
     cached.unpersist()
   }
 
+  test("a sub-table column outside the scored columns is rejected by name") {
+    val bad = sub(Seq(1L, 5L), Seq("CANCELLED", "ARRTIME"))
+    Seq[() => Any](() => Metrics.scores(binned, cols, rules, bad),
+      () => Metrics.cellCoverage(binned, cols, rules, bad),
+      () => Metrics.scores(binned, cols.take(3), Nil, t1)).foreach { call =>
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains("sub-table column"), e.getMessage)
+    }
+    assert(intercept[IllegalArgumentException](Metrics.scores(binned, cols, rules, bad))
+      .getMessage.contains("'ARRTIME'"))
+  }
+
   test("target filter keeps only rules touching target columns") {
     val kept = Rule.targetFilter(rules, Set("DISTANCE"))
     assert(kept.nonEmpty && kept.forall(_.columns.contains("DISTANCE")))

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, udf}
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
 import repro.data.Datasets
@@ -10,9 +11,11 @@ import scala.util.Random
 
 /** `Metrics`' one-pass scores against the two-action reference they
   * replaced ([[TwoActionMetrics]]): `==`-equal `Scores` and equal upcov, on
-  * random binned tables and on seeded sub-tables of the FL-like table.
+  * random binned tables and on seeded sub-tables of the FL-like table, each
+  * held as the binned frame `binnedAs` makes of it.
   */
-class OnePassMetricsSpec extends SparkSpec with PropSupport {
+abstract class OnePassMetricsChecks(binnedAs: OnePassMetricsChecks.Kind)
+    extends SparkSpec with PropSupport {
 
   /** The one-pass scores of `sub`, after checking them against the reference. */
   def same(binned: DataFrame, cols: Seq[String], rules: Seq[Rule], sub: SubTable,
@@ -31,9 +34,15 @@ class OnePassMetricsSpec extends SparkSpec with PropSupport {
 
   def partitioned(df: DataFrame): Seq[DataFrame] = Seq(df, df.repartition(1), df.repartition(7))
 
+  /** [[ScorerSpec.randomCase]] with its binned frame held as `binnedAs`. */
+  def randomCase(seed: Int): (DataFrame, Seq[(Long, Seq[String])], Seq[Rule]) = {
+    val (df, rows, rules) = ScorerSpec.randomCase(spark, seed)
+    (binnedAs.hold(df), rows, rules)
+  }
+
   test("one pass equals the reference on random binned tables") {
     checkProp(Prop.forAll(Gen.choose(1, 1000000)) { seed =>
-      val (df, rows, rules) = ScorerSpec.randomCase(spark, seed)
+      val (df, rows, rules) = randomCase(seed)
       val rng = new Random(seed)
       val binned = partitioned(df)(rng.nextInt(3))
       val cols = ScorerSpec.cols
@@ -50,14 +59,14 @@ class OnePassMetricsSpec extends SparkSpec with PropSupport {
   }
 
   test("no rules: coverage 1, on one pass") {
-    val (df, rows, _) = ScorerSpec.randomCase(spark, 3)
+    val (df, rows, _) = randomCase(3)
     val sub = SubTable(rows.take(3).map(_._1), ScorerSpec.cols.take(2))
     assert(upcov(df, ScorerSpec.cols, Nil) == 0L)
     assert(same(df, ScorerSpec.cols, Nil, sub).cellCov == 1.0)
   }
 
   test("a sub-table whose rows satisfy no itemset covers nothing") {
-    val found = (1 to 20).iterator.map(ScorerSpec.randomCase(spark, _)).collectFirst {
+    val found = (1 to 20).iterator.map(randomCase).collectFirst {
       case (df, rows, rules) if rows.exists { case (_, toks) => !rules.exists(_.holdsFor(toks.toSet)) } =>
         val bare = rows.filter { case (_, toks) => !rules.exists(_.holdsFor(toks.toSet)) }.take(3)
         val s = same(df, ScorerSpec.cols, rules, SubTable(bare.map(_._1), ScorerSpec.cols))
@@ -68,7 +77,7 @@ class OnePassMetricsSpec extends SparkSpec with PropSupport {
   }
 
   test("a single-row sub-table has diversity 1") {
-    val (df, rows, rules) = ScorerSpec.randomCase(spark, 5)
+    val (df, rows, rules) = randomCase(5)
     rows.take(4).foreach { case (rid, _) =>
       assert(same(df, ScorerSpec.cols, rules, SubTable(Seq(rid), ScorerSpec.cols.take(3))).divers == 1.0)
     }
@@ -77,8 +86,8 @@ class OnePassMetricsSpec extends SparkSpec with PropSupport {
   /** The FL-like table binned with the default 5 bins, and its R*. */
   lazy val fl: (DataFrame, Seq[String], Seq[Rule], Seq[String], Seq[Long]) = {
     val (df, meta) = Datasets.flights(spark, 0.0)
-    val (binModel, raw) = Binning.bin(df, SubTab.Params().nBins)
-    val binned = raw.cache()
+    val binModel = Binning.fit(df, SubTab.Params().nBins)
+    val binned = binnedAs.bin(binModel, df)
     val mat = BinnedMatrix.collect(binned, binModel.cols)
     val rules = Rule.targetFilter(Apriori.mine(mat, Apriori.Params()), meta.targets.toSet)
     (binned, binModel.cols, rules, meta.targets, mat.rids.toSeq)
@@ -126,3 +135,45 @@ class OnePassMetricsSpec extends SparkSpec with PropSupport {
     }
   }
 }
+
+object OnePassMetricsChecks {
+
+  /** A way to hold a binned frame. */
+  trait Kind {
+    /** `binned`, a binned frame, held this way. */
+    def hold(binned: DataFrame): DataFrame
+    /** `df` binned by `m` and held this way. */
+    def bin(m: Binning.BinModel, df: DataFrame): DataFrame
+  }
+
+  /** Stored rows with the lineage cut, as `transform` returns them. */
+  object Checkpointed extends Kind {
+    def hold(binned: DataFrame): DataFrame = binned.localCheckpoint(eager = true, Binning.Storage)
+    def bin(m: Binning.BinModel, df: DataFrame): DataFrame = m.transform(df)
+  }
+
+  /** A cached lazy UDF projection, as `transform` used to return it. */
+  object CachedProjection extends Kind {
+    def hold(binned: DataFrame): DataFrame = {
+      val same = udf((t: String) => t)
+      binned.select(col(Tables.Rid) +: Tables.dataCols(binned).map(c => same(col(c)).as(c)): _*).cache()
+    }
+    def bin(m: Binning.BinModel, df: DataFrame): DataFrame = LazyBinning.transform(m, df).cache()
+  }
+
+  /** The rows collected into a local relation. */
+  object Local extends Kind {
+    def hold(binned: DataFrame): DataFrame =
+      binned.sparkSession.createDataFrame(java.util.Arrays.asList(binned.collect(): _*), binned.schema)
+    def bin(m: Binning.BinModel, df: DataFrame): DataFrame = {
+      val stored = m.transform(df)
+      try hold(stored) finally Binning.release(stored)
+    }
+  }
+}
+
+class OnePassMetricsSpec extends OnePassMetricsChecks(OnePassMetricsChecks.Checkpointed)
+
+class OnePassMetricsCachedProjectionSpec extends OnePassMetricsChecks(OnePassMetricsChecks.CachedProjection)
+
+class OnePassMetricsLocalFrameSpec extends OnePassMetricsChecks(OnePassMetricsChecks.Local)
