@@ -22,7 +22,7 @@ object DebugQuality {
     }
     val ctx = Ctx.prepare(spark, dm,
       if (bench) Ctx.BenchSubTab else repro.core.SubTab.Params())
-    val n = ctx.model.original.count()
+    val n = ctx.model.matrix.n
     println(s"dataset=${ctx.name} n=$n m=${ctx.cols.size} " +
       s"rules=${ctx.rules.size} -> ${ctx.scorer.itemsets.length} distinct itemsets " +
       s"upcov=${ctx.scorer.upcov} (total cells=${n * ctx.cols.size})")
@@ -33,7 +33,7 @@ object DebugQuality {
 
     // Column-vector geometry: cosine similarity of every column to the
     // most-null-heavy ones (to see whether redundant columns cluster).
-    val cvs = SubTab.columnVectors(ctx.model, ctx.binned, ctx.cols)
+    val cvs = SubTab.columnVectors(ctx.model, ctx.model.binned, ctx.cols)
     def cos(a: Array[Float], b: Array[Float]): Double = {
       var d = 0.0; var na = 0.0; var nb = 0.0
       a.indices.foreach { i => d += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i) }
@@ -52,9 +52,9 @@ object DebugQuality {
     val l = args.lift(2).map(_.toInt).getOrElse(Experiments.L)
     Algos.Interactive.foreach { algo =>
       val sub = Algos.run(ctx, algo, k, l)
-      val subRows = Metrics.subTableTokens(ctx.binned, sub)
+      val subRows = ctx.model.matrix.subTableTokens(sub)
       val covered = Metrics.coveredRules(ctx.rules, subRows.map(_.toSet), sub.cols.toSet)
-      val s = ctx.scores(sub)
+      val s = ctx.scorer.scores(sub)
       println(f"\n-- $algo: cellCov=${s.cellCov}%.3f divers=${s.divers}%.3f " +
         f"combined=${s.combined}%.3f coveredRules=${covered.size}/${ctx.rules.size}")
       println(s"   cols: ${sub.cols.mkString(", ")}")

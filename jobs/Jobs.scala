@@ -26,58 +26,47 @@ object JobSpark {
 
   def scaleArg(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(1.0)
+
+  /** Print the table that `exhibit` renders in a session named `name`. */
+  def run(name: String)(exhibit: SparkSession => String): Unit = {
+    val spark = session(name)
+    println(exhibit(spark))
+    spark.stop()
+  }
 }
 
 /** Table 1: simulated user study (SubTab vs RAN vs NC). */
 object T1UserStudy {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("T1UserStudy")
-    println(Experiments.table1(spark, JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("T1UserStudy")(Experiments.table1(_, JobSpark.scaleArg(args))._2)
 }
 
 /** Fig. 6: simulation-based study on CY — next-query fragment capture. */
 object F6Simulation {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("F6Simulation")
-    println(Experiments.fig6(spark, cySf = 0.5 * JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("F6Simulation")(s => Experiments.fig6(s, cySf = 0.5 * JobSpark.scaleArg(args))._2)
 }
 
 /** Fig. 7: quality vs time against the slow baselines (EmbDI, MAB, Greedy). */
 object F7SlowBaselines {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("F7SlowBaselines")
-    println(Experiments.fig7(spark, flSf = 0.004 * JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("F7SlowBaselines")(s => Experiments.fig7(s, flSf = 0.004 * JobSpark.scaleArg(args))._2)
 }
 
 /** Fig. 8: intrinsic quality metrics per dataset and algorithm. */
 object F8Quality {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("F8Quality")
-    println(Experiments.fig8(spark, JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("F8Quality")(Experiments.fig8(_, JobSpark.scaleArg(args))._2)
 }
 
 /** Fig. 9: SubTab pre-processing vs selection time on all six datasets. */
 object F9Runtime {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("F9Runtime")
-    println(Experiments.fig9(spark, JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("F9Runtime")(Experiments.fig9(_, JobSpark.scaleArg(args))._2)
 }
 
 /** Fig. 10: cell coverage under varying rule-mining parameters. */
 object F10ParamTuning {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("F10ParamTuning")
-    println(Experiments.fig10(spark, JobSpark.scaleArg(args))._2)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSpark.run("F10ParamTuning")(Experiments.fig10(_, JobSpark.scaleArg(args))._2)
 }

@@ -68,13 +68,6 @@ object Metrics {
   def coverageRatio(coveredCells: Long, upcov: Long): Double =
     if (upcov == 0L) 1.0 else coveredCells.toDouble / upcov
 
-  /** Cell coverage of a sub-table w.r.t. the (already target-filtered) rule
-    * set. If no rule describes any cell (upcov = 0) coverage is vacuously 1.
-    */
-  def cellCoverage(binned: DataFrame, cols: Seq[String], rules: Seq[Rule],
-                   sub: SubTable): Double =
-    scores(binned, cols, rules, sub).cellCov
-
   /** Pairwise Jaccard-like similarity (Def. 3.7): fraction of columns on
     * which the two rows fall in the same bin.
     */

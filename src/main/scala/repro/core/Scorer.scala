@@ -10,8 +10,8 @@ import scala.collection.mutable
   * Built once per experiment via [[BinnedMatrix.collect]]; the iterative
   * baselines (RAN best-of, Greedy, MAB) evaluate thousands of candidate
   * sub-tables and must not pay a Spark job per evaluation — exactly like the
-  * paper's in-memory Pandas implementation — and EmbDI walks its graph over
-  * the same table.
+  * paper's in-memory Pandas implementation — EmbDI walks its graph over the
+  * same table, and the exhibits score, grade and read sub-tables from it.
   *
   *   - `rids(i)` is the rid of row i; rows are in rid order;
   *   - `codes(i)(j)` is the interned code of the token in row i, column j;
@@ -27,6 +27,28 @@ final class BinnedMatrix(val rids: Array[Long], val cols: Array[String],
 
   /** Code of `token`, or -1 when no cell holds it. */
   def code(token: String): Int = codeOf.getOrElse(token, -1)
+
+  /** Row index of `rid`, by binary search over the sorted rids. */
+  def row(rid: Long): Int = {
+    val i = java.util.Arrays.binarySearch(rids, rid)
+    require(i >= 0, s"rid $rid is not a row of the binned table")
+    i
+  }
+
+  /** Row indices of `rids`, ascending and each once: rid order. */
+  def rowsOfRids(rids: Iterable[Long]): Array[Int] = rids.iterator.map(row).toArray.sorted.distinct
+
+  /** The sub-table's binned rows in rid order, each once, as aligned token
+    * vectors over `sub.cols`.
+    */
+  def subTableTokens(sub: SubTable): Seq[Seq[String]] = {
+    val js = sub.cols.map { c =>
+      val j = cols.indexOf(c)
+      require(j >= 0, s"sub-table column '$c' is not a column of the binned table")
+      j
+    }
+    rowsOfRids(sub.rowIds).toSeq.map(i => js.map(j => tokens(codes(i)(j))))
+  }
 
   val rowsOf: Array[Array[Int]] = {
     val b = Array.fill(tokens.length)(Array.newBuilder[Int])
@@ -88,8 +110,9 @@ object BinnedMatrix {
 
 /** Driver-side evaluator of the paper's metrics over a [[BinnedMatrix]].
   *
-  * Mirrors [[Metrics]] exactly (property-tested for equality) but answers a
-  * `combined` evaluation in microseconds-to-milliseconds:
+  * Mirrors [[Metrics]] exactly ([[scores]] is property-tested for `==`
+  * equality) but answers a `combined` evaluation in
+  * microseconds-to-milliseconds:
   *   - the rules are reduced to their distinct itemsets lhs ∪ rhs: every
   *     split of one itemset describes the same cells and is covered by the
   *     same sub-tables (Def. 3.6), so coverage is a function of itemsets,
@@ -162,7 +185,7 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
     }
 
   /** Cell coverage of a sub-table given by row/column *indices* into the
-    * matrix. Vacuously 1 when upcov = 0 (mirrors [[Metrics.cellCoverage]]).
+    * matrix. Vacuously 1 when upcov = 0, as in [[Metrics.scores]].
     */
   def cellCov(rowIdxs: Array[Int], colIdxs: Array[Int]): Double =
     Metrics.coverageRatio(unionCellCount(covered(rowIdxs, ColSet(colIdxs, m)).iterator), upcov)
@@ -194,6 +217,18 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   def combined(rowIdxs: Array[Int], colIdxs: Array[Int]): Double =
     alpha * cellCov(rowIdxs, colIdxs) + (1 - alpha) * diversity(rowIdxs, colIdxs)
 
+  /** Exact scores of a sub-table, equal to [[Metrics.scores]]': its rows are
+    * taken in rid order, each once, so diversity sums its pairs in the same
+    * order.
+    */
+  def scores(sub: SubTable): Metrics.Scores = {
+    val rows = mat.rowsOfRids(sub.rowIds)
+    val cs = colIndices(sub.cols)
+    val cc = cellCov(rows, cs)
+    val dv = diversity(rows, cs)
+    Metrics.Scores(cc, dv, alpha * cc + (1 - alpha) * dv)
+  }
+
   /** Translate matrix indices to a [[SubTable]] (rids + column names). */
   def toSubTable(rowIdxs: Array[Int], colIdxs: Array[Int]): SubTable =
     SubTable(rowIdxs.map(mat.rids).toSeq, colIdxs.map(mat.cols).toSeq)
@@ -201,11 +236,8 @@ final class Scorer(val mat: BinnedMatrix, allRules: Seq[Rule], val alpha: Double
   /** Matrix column indices for a set of column names. */
   def colIndices(names: Seq[String]): Array[Int] = names.map(colIdx).toArray
 
-  /** Matrix row indices for a set of rids. */
-  def rowIndices(rids: Seq[Long]): Array[Int] = {
-    val pos = mat.rids.zipWithIndex.toMap
-    rids.map(pos).toArray
-  }
+  /** Matrix row indices for a set of rids, in their order. */
+  def rowIndices(rids: Seq[Long]): Array[Int] = rids.map(mat.row).toArray
 }
 
 object Scorer {

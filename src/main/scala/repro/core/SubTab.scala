@@ -103,21 +103,29 @@ object SubTab {
     */
   def select(model: Model, query: Option[DataFrame => DataFrame],
              k: Int, l: Int, targets: Seq[String]): SubTable = {
-    val (rows, qCols) = query match {
-      case None => (model.matrix.rids.indices.toArray, model.cols)
-      case Some(f) =>
-        val (q, qCols) = runQuery(model.local, model.cols, f)
-        (matrixRows(model, q), qCols)
-    }
+    val (rows, qCols) = queryRows(model, query)
     require(targets.forall(qCols.contains),
       s"target columns $targets must survive the query (have: $qCols)")
     require(targets.size <= l, s"more targets (${targets.size}) than columns ($l)")
     SubTable(selectRows(model, rows, qCols, k), selectCols(model, rows, qCols, l, targets))
   }
 
+  /** Matrix rows of the query result on the model's local copy (ascending,
+    * each once) and its surviving data columns; the whole matrix for no
+    * query.
+    */
+  private[repro] def queryRows(model: Model,
+                               query: Option[DataFrame => DataFrame]): (Array[Int], Seq[String]) =
+    query match {
+      case None => (model.matrix.rids.indices.toArray, model.cols)
+      case Some(f) =>
+        val (q, qCols) = runQuery(model.local, model.cols, f)
+        (matrixRows(model, q), qCols)
+    }
+
   /** Binned view of the query result plus its surviving data columns, as a
-    * left-semi join of the binned table (Fig. 6 counts and scores it;
-    * [[select]] maps the query's rids to matrix rows instead).
+    * left-semi join of the binned table (Fig. 6 samples RAN's search table
+    * from it; [[select]] maps the query's rids to matrix rows instead).
     */
   private[repro] def queryView(model: Model,
                                query: Option[DataFrame => DataFrame]): (DataFrame, Seq[String]) =
@@ -142,14 +150,10 @@ object SubTab {
   }
 
   /** Matrix rows of the rids in `df` (one collect), ascending and without
-    * duplicates — the rows a left-semi join of the binned table keeps.
+    * duplicates; a rid that is no row of the matrix fails by name.
     */
-  private def matrixRows(model: Model, df: DataFrame): Array[Int] = {
-    val rids = model.matrix.rids
-    df.select(Tables.Rid).collect()
-      .map(r => java.util.Arrays.binarySearch(rids, r.getLong(0)))
-      .filter(_ >= 0).distinct.sorted
-  }
+  private def matrixRows(model: Model, df: DataFrame): Array[Int] =
+    model.matrix.rowsOfRids(df.select(Tables.Rid).collect().map(_.getLong(0)))
 
   /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids,
     * over the rows of a binned view (`binnedQ` must carry `__rid`; its rids

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
   *
   * Row ids refer to the stable `__rid` column that every dataset in this
   * repo carries (see [[Tables.withRid]]). The sub-table is a *view
-  * recipe*, not a copy; [[Metrics.subTableTokens]] reads its binned cells.
+  * recipe*, not a copy; [[BinnedMatrix.subTableTokens]] reads its binned cells.
   */
 final case class SubTable(rowIds: Seq[Long], cols: Seq[String]) {
   def k: Int = rowIds.size

@@ -1,8 +1,6 @@
 package repro.eda
 
-import org.apache.spark.sql.DataFrame
-import repro.core.Binning
-import repro.rules.Apriori
+import repro.core.{BinnedMatrix, Binning}
 
 import scala.util.Random
 import scala.util.hashing.MurmurHash3
@@ -107,22 +105,21 @@ object InsightOracle {
   }
 
   /** Grade insights against the full binned table: correct iff the
-    * co-occurrence has non-trivial support AND lift over independence.
+    * co-occurrence has non-trivial support AND lift over independence. A
+    * token's count is the length of its row list in the matrix, a pair's the
+    * size of the intersection of its two row lists.
     */
-  def grade(binned: DataFrame, cols: Seq[String], insights: Seq[Insight],
-            p: Params = Params()): Seq[Boolean] = {
-    if (insights.isEmpty) return Seq.empty
-    val singles = insights.flatMap(_.items).distinct.map(Vector(_))
-    val pairs = insights.map(_.items)
-    val counts = Apriori.countItemsets(binned, cols, singles ++ pairs)
-    val n = binned.count().toDouble
+  def grade(mat: BinnedMatrix, insights: Seq[Insight], p: Params = Params()): Seq[Boolean] = {
+    def rows(token: String): Array[Int] = {
+      val c = mat.code(token)
+      if (c < 0) Array.emptyIntArray else mat.rowsOf(c)
+    }
+    val n = mat.n.toDouble
     insights.map { ins =>
-      val nAB = counts.getOrElse(ins.items.sorted, 0L).toDouble
-      val nA = counts.getOrElse(Vector(ins.items(0)), 0L).toDouble
-      val nB = counts.getOrElse(Vector(ins.items(1)), 0L).toDouble
-      val support = nAB / n
-      val lift = if (nA == 0 || nB == 0) 0.0 else nAB * n / (nA * nB)
-      support >= p.minSupport && lift >= p.minLift
+      val (a, b) = (rows(ins.items(0)), rows(ins.items(1)))
+      val nAB = a.intersect(b).length.toDouble
+      val lift = if (a.isEmpty || b.isEmpty) 0.0 else nAB * n / (a.length.toDouble * b.length)
+      nAB / n >= p.minSupport && lift >= p.minLift
     }
   }
 
@@ -133,14 +130,13 @@ object InsightOracle {
   /** One simulated user examining one sub-table (with the rule-highlight
     * UI when `highlighted` is non-empty).
     */
-  def simulateUser(binned: DataFrame, cols: Seq[String],
-                   subCols: Seq[String], subRows: Seq[Seq[String]],
+  def simulateUser(mat: BinnedMatrix, subCols: Seq[String], subRows: Seq[Seq[String]],
                    userSeed: Long, p: Params = Params(),
                    highlighted: Seq[repro.rules.Rule] = Nil): UserResult = {
     val ins =
       if (highlighted.isEmpty) analyst(subCols, subRows, p.maxInsightsPerUser, userSeed)
       else analystWithHighlights(subCols, subRows, highlighted, p.maxInsightsPerUser, userSeed)
-    val graded = grade(binned, cols, ins, p)
+    val graded = grade(mat, ins, p)
     UserResult(written = ins.size, correct = graded.count(identity))
   }
 }

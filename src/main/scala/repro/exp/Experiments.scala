@@ -46,14 +46,14 @@ object Experiments {
       var correctSum = 0; var writtenSum = 0; var runs = 0; var zeroRuns = 0
       ctxs.foreach { ctx =>
         val sub = Algos.run(ctx, algo, K, widthFor(ctx.cols.size))
-        val subRows = Metrics.subTableTokens(ctx.binned, sub)
+        val subRows = ctx.model.matrix.subTableTokens(sub)
         // The study's UI highlights the rules the sub-table captures
         // (computed identically for every baseline, §6.2.1).
         val highlighted = Metrics.coveredRules(ctx.rules,
           subRows.map(_.toSet), sub.cols.toSet)
         (0 until usersPerAlgo).foreach { u =>
           val seed = MurmurHash3.stringHash(s"$algo/${ctx.name}/$u").toLong
-          val r = InsightOracle.simulateUser(ctx.binned, ctx.cols,
+          val r = InsightOracle.simulateUser(ctx.model.matrix,
             sub.cols, subRows, seed, highlighted = highlighted)
           correctSum += r.correct; writtenSum += r.written; runs += 1
           if (!r.hasInsight) zeroRuns += 1
@@ -97,19 +97,25 @@ object Experiments {
     sessions.foreach { s =>
       s.queries.sliding(2).foreach {
         case Seq(q, qNext) =>
-          val (view0, qCols) = SubTab.queryView(ctx.model, Some(q.apply))
-          val view = view0.cache()
-          val n = view.count()
+          val (rows, qCols) = SubTab.queryRows(ctx.model, Some(q.apply))
+          val n = rows.length
           if (n >= minResultRows) {
             val frags = qNext.fragments
             val rawView = q.apply(ctx.model.original) // NC clusters raw data
             // NC's row selection is width-independent — compute once per query.
             val ncRows = repro.select.NaiveClustering.selectRows(rawView, qCols, K)
             // Small scorer over (a sample of) the result for RAN's best-of.
-            val viewSample =
-              if (n > 3000) view.sample(withReplacement = false, 3000.0 / n, 113)
-              else view
-            val scorer = new Scorer(BinnedMatrix.collect(viewSample, qCols), ctx.rules)
+            // Spark samples each partition of the cached view, so which rows
+            // it keeps depends on the cache's partitioning.
+            val (view, _) = SubTab.queryView(ctx.model, Some(q.apply))
+            val scorer =
+              if (n <= 3000) new Scorer(BinnedMatrix.collect(view, qCols), ctx.rules)
+              else {
+                val cached = view.cache()
+                val sample = cached.sample(withReplacement = false, 3000.0 / n, 113)
+                try new Scorer(BinnedMatrix.collect(sample, qCols), ctx.rules)
+                finally cached.unpersist()
+              }
             widths.foreach { w =>
               val ncCols = repro.select.NaiveClustering.selectCols(rawView, qCols, w)
               val ran = RandomBaseline.run(scorer, K, w,
@@ -120,15 +126,13 @@ object Experiments {
                 "NC" -> SubTable(ncRows, ncCols),
                 "RAN" -> ran)
               subs.foreach { case (algo, sub) =>
-                val tok = Metrics.subTableTokens(view, sub)
+                val tok = ctx.model.matrix.subTableTokens(sub)
                 val got = frags.count(Sessions.captured(_, sub.cols, tok))
                 val (c, t) = acc((w, algo))
                 acc((w, algo)) = (c + got, t + frags.size)
               }
             }
           }
-          view.unpersist()
-          ()
         case _ => ()
       }
     }
@@ -155,24 +159,19 @@ object Experiments {
            embdi: EmbDI.Params = EmbDI.Params(walksPerRow = 5, walkLength = 20))
       : (Seq[F7Row], String) = {
     val ctx = Ctx.prepare(spark, Datasets.flights(spark, flSf), Ctx.BenchSubTab)
+    def row(algo: String, sub: SubTable, millis: Long): F7Row = {
+      val s = ctx.scorer.scores(sub)
+      F7Row(algo, s.cellCov, s.divers, s.combined, millis)
+    }
 
     val (stSub, stSelMs) = Ctx.timed(SubTab.select(ctx.model, K, L, ctx.meta.targets))
-    val stScores = ctx.scores(stSub)
-    val stRow = F7Row("SubTab", stScores.cellCov, stScores.divers, stScores.combined,
-      ctx.prepMillis + stSelMs)
-
+    val stRow = row("SubTab", stSub, ctx.prepMillis + stSelMs)
     val (emSub, emTotalMs) = Algos.runEmbDI(ctx, K, L, embdi)
-    val emScores = ctx.scores(emSub)
-    val emRow = F7Row("EmbDI", emScores.cellCov, emScores.divers, emScores.combined,
-      emTotalMs)
-
+    val emRow = row("EmbDI", emSub, emTotalMs)
     val (mab, mabMs) = Ctx.timed(Algos.runMab(ctx, K, L, mabBudgetMillis))
-    val mabScores = ctx.scores(mab.sub)
-    val mabRow = F7Row("MAB", mabScores.cellCov, mabScores.divers, mabScores.combined, mabMs)
-
+    val mabRow = row("MAB", mab.sub, mabMs)
     val (greedy, greedyMs) = Ctx.timed(Algos.runGreedy(ctx, K, L, greedyBudgetMillis))
-    val gScores = ctx.scores(greedy.sub)
-    val gRow = F7Row("Greedy", gScores.cellCov, gScores.divers, gScores.combined, greedyMs)
+    val gRow = row("Greedy", greedy.sub, greedyMs)
 
     ctx.model.unpersist()
     val rows = Seq(stRow, emRow, mabRow, gRow)
@@ -198,7 +197,7 @@ object Experiments {
       val ctx = Ctx.prepare(spark, dm, Ctx.BenchSubTab)
       val out = Algos.Interactive.map { algo =>
         val sub = Algos.run(ctx, algo, K, widthFor(ctx.cols.size))
-        val s = ctx.scores(sub)
+        val s = ctx.scorer.scores(sub)
         F8Row(ctx.name, algo, s.cellCov, s.divers, s.combined)
       }
       ctx.model.unpersist()
@@ -221,19 +220,18 @@ object Experiments {
   def fig9(spark: SparkSession, scale: Double = 1.0): (Seq[F9Row], String) = {
     val rows = Datasets.all(spark, scale).map { case (df, meta) =>
       val (model, prepMs) = Ctx.timed(SubTab.preprocess(df, Ctx.BenchSubTab))
-      val n = model.original.count()
+      val mat = model.matrix
       val (_, selMs) = Ctx.timed(SubTab.select(model, K, L, meta.targets))
       // A representative SP query: filter on the first target (or first)
-      // column's most frequent bin.
+      // column's most frequent bin, ties to the smallest token.
       val qCol = meta.targets.headOption.getOrElse(model.cols.head)
-      val tok = model.binned.groupBy(qCol).count()
-        .orderBy(org.apache.spark.sql.functions.desc("count"))
-        .collect().head.getString(0)
+      val tok = mat.tokens.indices.filter(c => Binning.tokenCol(mat.tokens(c)) == qCol)
+        .map(c => (-mat.rowsOf(c).length, mat.tokens(c))).min._2
       val pred = Query.predicateFor(model.binModel, tok)
       val q = Query(Seq(pred))
       val (_, qSelMs) = Ctx.timed(
         SubTab.select(model, Some(q.apply(_)), K, L, Nil))
-      val r = F9Row(meta.name, n, model.cols.size, prepMs, selMs, qSelMs)
+      val r = F9Row(meta.name, mat.n, model.cols.size, prepMs, selMs, qSelMs)
       model.unpersist()
       r
     }
@@ -270,19 +268,21 @@ object Experiments {
       val subs: Seq[(String, SubTable)] =
         Algos.Interactive.map(a => a -> Algos.run(ctx, a, K, widthFor(ctx.cols.size)))
 
+      def score(param: String, value: String, scorer: Scorer): Unit =
+        subs.foreach { case (a, sub) => acc((param, value, a)) += scorer.scores(sub).cellCov }
+      def targetRules(rules: Seq[Rule]): Seq[Rule] = Rule.targetFilter(rules, ctx.meta.targets.toSet)
+
       // -- #bins sweep: re-bin + re-mine per bin count --------------------
       bins.foreach { b =>
-        val (bm, binnedB) =
-          if (b == ctx.model.params.nBins) (ctx.model.binModel, ctx.binned)
-          else Binning.bin(ctx.model.original, b)
-        val mined =
-          if (b == ctx.model.params.nBins) Apriori.mine(ctx.model.matrix, Apriori.Params())
-          else Apriori.mine(binnedB, bm.cols)
-        val rules = Rule.targetFilter(mined, ctx.meta.targets.toSet)
-        subs.foreach { case (a, sub) =>
-          acc(("bins", b.toString, a)) += Metrics.cellCoverage(binnedB, bm.cols, rules, sub)
-        }
-        if (!(binnedB eq ctx.binned)) Binning.release(binnedB)
+        val scorer =
+          if (b == ctx.model.params.nBins) ctx.scorer
+          else {
+            val (bm, binnedB) = Binning.bin(ctx.model.original, b)
+            val mat = BinnedMatrix.collect(binnedB, bm.cols)
+            Binning.release(binnedB)
+            new Scorer(mat, targetRules(Apriori.mine(mat, Apriori.Params())))
+          }
+        score("bins", b.toString, scorer)
       }
 
       // -- support / confidence sweeps: reuse default frequent itemsets ---
@@ -290,18 +290,12 @@ object Experiments {
       supports.foreach { s =>
         val minCount = math.ceil(s * freq.nRows).toLong
         val kept = Apriori.Frequents(freq.itemsets.filter(_.count >= minCount), freq.nRows)
-        val rules = Rule.targetFilter(
-          Apriori.rulesFrom(kept, Apriori.Params(minSupport = s)), ctx.meta.targets.toSet)
-        subs.foreach { case (a, sub) =>
-          acc(("support", s.toString, a)) += Metrics.cellCoverage(ctx.binned, ctx.cols, rules, sub)
-        }
+        val rules = targetRules(Apriori.rulesFrom(kept, Apriori.Params(minSupport = s)))
+        score("support", s.toString, new Scorer(ctx.model.matrix, rules))
       }
       confidences.foreach { c =>
-        val rules = Rule.targetFilter(
-          Apriori.rulesFrom(freq, Apriori.Params(minConfidence = c)), ctx.meta.targets.toSet)
-        subs.foreach { case (a, sub) =>
-          acc(("confidence", c.toString, a)) += Metrics.cellCoverage(ctx.binned, ctx.cols, rules, sub)
-        }
+        val rules = targetRules(Apriori.rulesFrom(freq, Apriori.Params(minConfidence = c)))
+        score("confidence", c.toString, new Scorer(ctx.model.matrix, rules))
       }
       ctx.model.unpersist()
     }

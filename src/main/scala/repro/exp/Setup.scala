@@ -9,7 +9,8 @@ import repro.select.{MAB, NaiveClustering, RandomBaseline}
 
 /** Shared experiment context: a dataset, its SubTab pre-processing, the
   * mined evaluation rules (target-filtered, as the paper's metric
-  * prescribes) and a driver-side scorer for the iterative baselines.
+  * prescribes) and the driver-side scorer over the model's matrix, which
+  * the iterative baselines search with and the exhibits score with.
   */
 final case class Ctx(
     name: String,
@@ -19,12 +20,7 @@ final case class Ctx(
     scorer: Scorer,
     prepMillis: Long,      // SubTab pre-processing time (binning + embedding)
 ) {
-  def binned: DataFrame = model.binned
   def cols: Seq[String] = model.cols
-
-  /** Distributed (exact, full-table) scores for a sub-table. */
-  def scores(sub: SubTable, alpha: Double = 0.5): Metrics.Scores =
-    Metrics.scores(binned, cols, rules, sub, alpha)
 }
 
 object Ctx {
@@ -109,7 +105,7 @@ object Algos {
     val (sub, totalMs) = Ctx.timed {
       val vecs = EmbDI.train(ctx.model.matrix, p)
       val model = new SubTab.Model(ctx.model.original, ctx.model.binModel,
-        ctx.binned, ctx.cols, vecs, ctx.model.params, ctx.model.matrix)
+        ctx.model.binned, ctx.cols, vecs, ctx.model.params, ctx.model.matrix)
       SubTab.select(model, k, l, ctx.meta.targets)
     }
     (sub, totalMs)

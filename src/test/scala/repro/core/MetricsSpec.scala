@@ -85,8 +85,8 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("cellCoverage normalizes by upcov: 28/36 and 24/36") {
-    assert(math.abs(Metrics.cellCoverage(binned, cols, rules, t1) - 28.0 / 36) < 1e-9)
-    assert(math.abs(Metrics.cellCoverage(binned, cols, rules, t3) - 24.0 / 36) < 1e-9)
+    assert(math.abs(Metrics.scores(binned, cols, rules, t1).cellCov - 28.0 / 36) < 1e-9)
+    assert(math.abs(Metrics.scores(binned, cols, rules, t3).cellCov - 24.0 / 36) < 1e-9)
   }
 
   test("diversity of T̂(1) is 0.83 (Example 3.8)") {
@@ -128,7 +128,7 @@ class MetricsSpec extends SparkSpec {
 
   test("describedCellCount of no rules is 0, coverage vacuously 1") {
     assert(Metrics.describedCellCount(binned, cols, Nil) == 0L)
-    assert(Metrics.cellCoverage(binned, cols, Nil, t1) == 1.0)
+    assert(Metrics.scores(binned, cols, Nil, t1).cellCov == 1.0)
   }
 
   test("coveredRules requires both column containment and a matching row") {
@@ -163,7 +163,7 @@ class MetricsSpec extends SparkSpec {
     cached.count()
     Seq(binned, cached).foreach { df =>
       assert(jobs(Metrics.scores(df, cols, rules, t1)) == 1)
-      assert(jobs(Metrics.cellCoverage(df, cols, rules, t3)) == 1)
+      assert(jobs(Metrics.scores(df, cols, rules, t3).cellCov) == 1)
       assert(jobs(Metrics.describedCellCount(df, cols, rules)) == 1)
     }
     cached.unpersist()
@@ -172,7 +172,6 @@ class MetricsSpec extends SparkSpec {
   test("a sub-table column outside the scored columns is rejected by name") {
     val bad = sub(Seq(1L, 5L), Seq("CANCELLED", "ARRTIME"))
     Seq[() => Any](() => Metrics.scores(binned, cols, rules, bad),
-      () => Metrics.cellCoverage(binned, cols, rules, bad),
       () => Metrics.scores(binned, cols.take(3), Nil, t1)).foreach { call =>
       val e = intercept[IllegalArgumentException](call())
       assert(e.getMessage.contains("sub-table column"), e.getMessage)

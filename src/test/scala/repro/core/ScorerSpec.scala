@@ -39,6 +39,62 @@ class ScorerSpec extends SparkSpec {
     }
   }
 
+  /** A random sub-table: rids in random order with one of them repeated,
+    * columns in random order.
+    */
+  def randomSub(rows: Seq[(Long, Seq[String])], rng: Random): SubTable = {
+    val rids = rng.shuffle(rows.map(_._1)).take(1 + rng.nextInt(5))
+    SubTable(rng.shuffle(rids :+ rids(rng.nextInt(rids.size))),
+      rng.shuffle(cols).take(1 + rng.nextInt(4)))
+  }
+
+  test("Scorer.scores equals Metrics.scores under == on random cases and repartitioned frames") {
+    (1 to 5).foreach { seed =>
+      val (df, rows, rules) = randomCase(seed)
+      val rng = new Random(seed + 500)
+      Seq(df, df.repartition(3)).foreach { in =>
+        val mat = BinnedMatrix.collect(in, cols)
+        val scorer = new Scorer(mat, rules)
+        val scorer3 = new Scorer(mat, rules, alpha = 0.3)
+        (1 to 8).foreach { _ =>
+          val sub = randomSub(rows, rng)
+          assert(scorer.scores(sub) == Metrics.scores(in, cols, rules, sub), s"seed=$seed sub=$sub")
+          assert(scorer3.scores(sub) == Metrics.scores(in, cols, rules, sub, 0.3), s"seed=$seed sub=$sub")
+        }
+      }
+    }
+  }
+
+  test("the matrix token reader equals Metrics.subTableTokens") {
+    (1 to 5).foreach { seed =>
+      val (df, rows, _) = randomCase(seed)
+      val rng = new Random(seed + 600)
+      Seq(df, df.repartition(3)).foreach { in =>
+        val mat = BinnedMatrix.collect(in, cols)
+        val rids = rows.map(_._1)
+        val subs = Seq(
+          SubTable(rids.take(4).reverse, cols),               // reversed rids
+          SubTable(rids.slice(2, 5), Seq("d", "a", "c")),     // columns out of table order
+          SubTable(Seq(rids(3), rids(1), rids(3)), Seq("b")), // a repeated rid
+          SubTable(Nil, cols)) ++ Seq.fill(5)(randomSub(rows, rng))
+        subs.foreach { sub =>
+          assert(mat.subTableTokens(sub) == Metrics.subTableTokens(in, sub), s"seed=$seed sub=$sub")
+        }
+      }
+    }
+  }
+
+  test("an unknown rid fails with a message that names it") {
+    val (df, rows, rules) = randomCase(2)
+    val scorer = new Scorer(BinnedMatrix.collect(df, cols), rules)
+    Seq[() => Any](() => scorer.rowIndices(Seq(rows(0)._1, 999L)),
+      () => scorer.scores(SubTable(Seq(999L), cols)),
+      () => scorer.mat.subTableTokens(SubTable(Seq(999L), cols))).foreach { call =>
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains("rid 999"), e.getMessage)
+    }
+  }
+
   /** A random case whose R* holds every valid lhs/rhs split of each of a few
     * random itemsets, shuffled, and the same R* cut to one rule per itemset.
     */

@@ -1,7 +1,10 @@
 package repro.eda
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, when}
 import repro.SparkSpec
-import repro.core.{Binning, Tables}
+import repro.core.{BinnedMatrix, Binning, ScorerSpec, Tables}
+import repro.rules.SparkItemsetCount
 
 import scala.util.Random
 
@@ -19,6 +22,25 @@ class InsightOracleSpec extends SparkSpec {
       else (i, tok("a", (2 + rng.nextInt(3)).toString),
         tok("b", (2 + rng.nextInt(3)).toString), tok("c", "x" + rng.nextInt(4)))
     }.toDF((Tables.Rid +: cols): _*)
+  }
+  lazy val mat: BinnedMatrix = BinnedMatrix.collect(binned, cols)
+
+  /** Grading as it was done with Spark: counts from the distributed
+    * reference counter, n from a count of the frame.
+    */
+  def sparkGrade(df: DataFrame, cs: Seq[String], insights: Seq[InsightOracle.Insight],
+                 p: InsightOracle.Params = InsightOracle.Params()): Seq[Boolean] = {
+    if (insights.isEmpty) return Seq.empty
+    val singles = insights.flatMap(_.items).distinct.map(Vector(_))
+    val counts = SparkItemsetCount.countItemsets(df, cs, singles ++ insights.map(_.items))
+    val n = df.count().toDouble
+    insights.map { ins =>
+      val nAB = counts.getOrElse(ins.items.sorted, 0L).toDouble
+      val nA = counts.getOrElse(Vector(ins.items(0)), 0L).toDouble
+      val nB = counts.getOrElse(Vector(ins.items(1)), 0L).toDouble
+      val lift = if (nA == 0 || nB == 0) 0.0 else nAB * n / (nA * nB)
+      nAB / n >= p.minSupport && lift >= p.minLift
+    }
   }
 
   test("analyst reports pairs repeated in at least two sub-table rows") {
@@ -54,13 +76,13 @@ class InsightOracleSpec extends SparkSpec {
   test("grading: genuine co-occurrence is correct, chance pair is not") {
     val genuine = InsightOracle.Insight(Vector(tok("a", "1"), tok("b", "1")).sorted)
     val chance = InsightOracle.Insight(Vector(tok("a", "2"), tok("c", "x0")).sorted)
-    val graded = InsightOracle.grade(binned, cols, Seq(genuine, chance))
+    val graded = InsightOracle.grade(mat, Seq(genuine, chance))
     assert(graded == Seq(true, false))
   }
 
   test("grading an unseen pair is incorrect (zero support)") {
     val ghost = InsightOracle.Insight(Vector(tok("a", "1"), tok("b", "2")).sorted)
-    assert(InsightOracle.grade(binned, cols, Seq(ghost)) == Seq(false))
+    assert(InsightOracle.grade(mat, Seq(ghost)) == Seq(false))
   }
 
   test("simulateUser counts written and correct insights") {
@@ -69,7 +91,7 @@ class InsightOracleSpec extends SparkSpec {
       Seq(tok("a", "1"), tok("b", "1"), tok("c", "x1")),
       Seq(tok("a", "2"), tok("b", "2"), tok("c", "x2")),
       Seq(tok("a", "2"), tok("b", "2"), tok("c", "x3")))
-    val r = InsightOracle.simulateUser(binned, cols, cols, subRows, userSeed = 4)
+    val r = InsightOracle.simulateUser(mat, cols, subRows, userSeed = 4)
     assert(r.written >= 1)
     assert(r.correct >= 1) // a=1 & b=1 is genuinely correlated
     assert(r.correct <= r.written)
@@ -87,7 +109,7 @@ class InsightOracleSpec extends SparkSpec {
   }
 
   test("grade of empty insight list is empty") {
-    assert(InsightOracle.grade(binned, cols, Nil).isEmpty)
+    assert(InsightOracle.grade(mat, Nil).isEmpty)
   }
 
   test("highlight-aware analyst reads pairs off the covered rules") {
@@ -114,8 +136,46 @@ class InsightOracleSpec extends SparkSpec {
     val subRows = Seq(
       Seq(tok("a", "1"), tok("b", "1"), tok("c", "x0")),
       Seq(tok("a", "2"), tok("b", "3"), tok("c", "x1")))
-    val r = InsightOracle.simulateUser(binned, cols, cols, subRows,
+    val r = InsightOracle.simulateUser(mat, cols, subRows,
       userSeed = 9, highlighted = Seq(rule))
     assert(r.correct >= 1) // the highlighted (a=1, b=1) pair is genuine
+  }
+
+  test("matrix grading equals grading through the Spark reference counter") {
+    val nul = Binning.NullLabel
+    (1 to 5).foreach { seed =>
+      val (df0, rows, _) = ScorerSpec.randomCase(spark, seed)
+      val cs = ScorerSpec.cols
+      // Blank one column on a few rows, so that some pairs hold a ∅ token.
+      val df = df0.withColumn("d", when(col(Tables.Rid) % 4 === 0, tok("d", nul)).otherwise(col("d")))
+      val toks = (cs.flatMap(c => (0 until 3).map(v => tok(c, "v" + v))) :+ tok("d", nul)).distinct
+      val rng = new Random(seed + 400)
+      val pairs = Seq.fill(30) {
+        val Seq(c1, c2) = rng.shuffle(cs).take(2)
+        val pick = (c: String) => rng.shuffle(toks.filter(Binning.tokenCol(_) == c)).head
+        Vector(pick(c1), pick(c2)).sorted
+      } ++ Seq(
+        Vector(tok("a", "zz"), tok("b", "v0")).sorted, // an unseen token
+        Vector(tok("a", "zz"), tok("b", "yy")).sorted,
+        rows.head._2.take(2).toVector.sorted)          // a pair that holds
+      val insights = pairs.distinct.map(InsightOracle.Insight(_))
+      // Thresholds low enough that some pairs pass and some fail.
+      val p = InsightOracle.Params(minSupport = 0.02, minLift = 1.1)
+      Seq(df, df.repartition(3)).foreach { in =>
+        val got = InsightOracle.grade(BinnedMatrix.collect(in, cs), insights, p)
+        assert(got == sparkGrade(in, cs, insights, p), s"seed=$seed")
+        assert(got.contains(true) && got.contains(false), s"seed=$seed")
+        assert(InsightOracle.grade(BinnedMatrix.collect(in, cs), insights) ==
+          sparkGrade(in, cs, insights), s"seed=$seed")
+      }
+    }
+  }
+
+  test("matrix grading equals the Spark reference on the co-occurrence table") {
+    val genuine = InsightOracle.Insight(Vector(tok("a", "1"), tok("b", "1")).sorted)
+    val chance = InsightOracle.Insight(Vector(tok("a", "2"), tok("c", "x0")).sorted)
+    val ghost = InsightOracle.Insight(Vector(tok("a", "1"), tok("b", "2")).sorted)
+    val ins = Seq(genuine, chance, ghost)
+    assert(InsightOracle.grade(mat, ins) == sparkGrade(binned, cols, ins))
   }
 }

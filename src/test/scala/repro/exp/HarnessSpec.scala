@@ -39,13 +39,14 @@ class HarnessSpec extends SparkSpec {
       assert(sub.cols.size == 5, s"$a cols")
     }
 
-    // Ctx.scores agrees with the scorer (same rule set, full table)
+    // the scorer's exact scores equal the distributed pass's (same rule
+    // set, full table)
     val sub = Algos.run(ctx, "SubTab", 6, 5)
-    val viaCtx = ctx.scores(sub)
-    assert(viaCtx == Metrics.scores(ctx.binned, ctx.cols, ctx.rules, sub))
+    val exact = ctx.scorer.scores(sub)
+    assert(exact == Metrics.scores(ctx.model.binned, ctx.cols, ctx.rules, sub))
     val viaScorer = ctx.scorer.combined(
       ctx.scorer.rowIndices(sub.rowIds), ctx.scorer.colIndices(sub.cols))
-    assert(math.abs(viaCtx.combined - viaScorer) < 1e-9)
+    assert(math.abs(exact.combined - viaScorer) < 1e-9)
     ctx.model.unpersist()
   }
 

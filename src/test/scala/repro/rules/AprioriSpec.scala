@@ -83,14 +83,14 @@ class AprioriSpec extends SparkSpec with PropSupport {
   test("countItemsets agrees with frequentItemsets on frequent sets") {
     val p = Apriori.Params(minSupport = 0.2, maxItemsetSize = 3)
     val freq = Apriori.frequentItemsets(planted, cols, p)
-    val counts = Apriori.countItemsets(planted, cols, freq.itemsets.map(_.items))
+    val counts = SparkItemsetCount.countItemsets(planted, cols, freq.itemsets.map(_.items))
     freq.itemsets.foreach { is =>
       assert(counts(is.items) == is.count, s"mismatch on ${is.items}")
     }
   }
 
   test("countItemsets counts infrequent and unseen itemsets too") {
-    val counts = Apriori.countItemsets(planted, cols,
+    val counts = SparkItemsetCount.countItemsets(planted, cols,
       Seq(Seq(tok("x", "nope")), Seq(tok("x", "a"), tok("y", "w0"))))
     assert(counts(Vector(tok("x", "nope"))) == 0L)
     assert(counts(Vector(tok("x", "a"), tok("y", "w0")).sorted) == 0L)
@@ -159,7 +159,7 @@ class AprioriSpec extends SparkSpec with PropSupport {
       val p = Apriori.Params(minSupport = minSupport, minRuleSize = 1, maxItemsetSize = maxLen)
       val freq = Apriori.frequentItemsets(BinnedMatrix.collect(df, cs), p)
       val got = freq.itemsets.map(s => s.items -> s.count)
-      val counted = Apriori.countItemsets(df, cs, freq.itemsets.map(_.items))
+      val counted = SparkItemsetCount.countItemsets(df, cs, freq.itemsets.map(_.items))
       val sizes = freq.itemsets.map(_.items.size)
       val l1 = freq.itemsets.takeWhile(_.items.size == 1).map(_.items.head)
       Prop.propBoolean(got.toMap == bruteForce(df, minSupport, maxLen, cs) &&
