@@ -50,6 +50,19 @@ final class BinnedMatrix(val rids: Array[Long], val cols: Array[String],
     rowsOfRids(sub.rowIds).toSeq.map(i => js.map(j => tokens(codes(i)(j))))
   }
 
+  /** Matrix rows `rows` (ascending) over columns `cols`, interned as
+    * [[BinnedMatrix.collect]] interns the same rows and columns of the binned
+    * table, so the two matrices are equal.
+    */
+  def slice(rows: Array[Int], cols: Seq[String]): BinnedMatrix = {
+    val js = cols.map { c =>
+      val j = this.cols.indexOf(c)
+      require(j >= 0, s"column '$c' is not a column of the binned table")
+      j
+    }.toArray
+    BinnedMatrix.intern(rows.map(rids), cols, rows.iterator.map(i => js.map(j => tokens(codes(i)(j)))))
+  }
+
   val rowsOf: Array[Array[Int]] = {
     val b = Array.fill(tokens.length)(Array.newBuilder[Int])
     val last = Array.fill(tokens.length)(-1) // a row is listed once per token
@@ -98,13 +111,17 @@ object BinnedMatrix {
     */
   def collect(binned: DataFrame, cols: Seq[String]): BinnedMatrix = {
     val rows = binned.select((Tables.Rid +: cols).map(col): _*).collect().sortBy(_.getLong(0))
+    intern(rows.map(_.getLong(0)), cols, rows.iterator.map(r => Array.tabulate(cols.length)(j => r.getString(j + 1))))
+  }
+
+  /** The matrix of rows `tokenRows` (aligned with `rids`, ascending), with
+    * tokens interned to codes in row-major order of first occurrence.
+    */
+  private def intern(rids: Array[Long], cols: Seq[String], tokenRows: Iterator[Array[String]]): BinnedMatrix = {
     val tokens = mutable.ArrayBuffer[String]()
     val dict = mutable.HashMap[String, Int]()
-    val codes = rows.map(r => Array.tabulate(cols.length) { j =>
-      val t = r.getString(j + 1)
-      dict.getOrElseUpdate(t, { tokens += t; tokens.length - 1 })
-    })
-    new BinnedMatrix(rows.map(_.getLong(0)), cols.toArray, tokens.toArray, codes)
+    val codes = tokenRows.map(_.map(t => dict.getOrElseUpdate(t, { tokens += t; tokens.length - 1 }))).toArray
+    new BinnedMatrix(rids, cols.toArray, tokens.toArray, codes)
   }
 }
 

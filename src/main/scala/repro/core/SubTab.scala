@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.embed.{CellEmbedding, TabularCorpus}
 
 /** SubTab (paper Algorithm 2): embedding-based sub-table selection.
@@ -19,12 +21,14 @@ import repro.embed.{CellEmbedding, TabularCorpus}
   * clusters, take nearest columns, then add the target columns U*. Both
   * clusterings run in [[CentroidSelect]]. A query runs on the model's
   * driver-local copy of the original table, over which Catalyst evaluates
-  * filters and projections while it plans the collect of the surviving
-  * `__rid`s; so a full-table select, and a select on a filter or projection
+  * filters and projections while it optimizes the plan; the surviving
+  * `__rid`s are then read from the folded local relation, with no physical
+  * planning. So a full-table select, and a select on a filter or projection
   * query, runs no Spark job (a query Catalyst cannot fold, such as a join or
-  * an aggregate, runs as a job over the local table). Selection only touches
-  * the cached cell vectors and matrix, so query results get sub-tables
-  * without re-training — the paper's headline interactivity property.
+  * an aggregate, is collected as a job over the local table). Selection
+  * only touches the cached cell vectors and matrix, so query results get
+  * sub-tables without re-training — the paper's headline interactivity
+  * property.
   */
 object SubTab {
 
@@ -104,10 +108,20 @@ object SubTab {
   def select(model: Model, query: Option[DataFrame => DataFrame],
              k: Int, l: Int, targets: Seq[String]): SubTable = {
     val (rows, qCols) = queryRows(model, query)
+    select(model, rows, qCols, k, Seq(l), targets).head
+  }
+
+  /** Sub-tables over matrix rows `rows` (ascending, as [[queryRows]] gives
+    * them) and query columns `qCols`, one per width in `ls`. The row
+    * selection does not depend on the width, so it runs once.
+    */
+  private[repro] def select(model: Model, rows: Array[Int], qCols: Seq[String],
+                            k: Int, ls: Seq[Int], targets: Seq[String]): Seq[SubTable] = {
     require(targets.forall(qCols.contains),
       s"target columns $targets must survive the query (have: $qCols)")
-    require(targets.size <= l, s"more targets (${targets.size}) than columns ($l)")
-    SubTable(selectRows(model, rows, qCols, k), selectCols(model, rows, qCols, l, targets))
+    ls.foreach(l => require(targets.size <= l, s"more targets (${targets.size}) than columns ($l)"))
+    val picked = selectRows(model, rows, qCols, k)
+    ls.map(l => SubTable(picked, selectCols(model, rows, qCols, l, targets)))
   }
 
   /** Matrix rows of the query result on the model's local copy (ascending,
@@ -149,16 +163,37 @@ object SubTab {
     (q, Tables.dataCols(q).filter(cols.contains))
   }
 
-  /** Matrix rows of the rids in `df` (one collect), ascending and without
-    * duplicates; a rid that is no row of the matrix fails by name.
+  /** Matrix rows of the rids in `df`, ascending and without duplicates; a
+    * rid that is no row of the matrix fails by name.
     */
   private def matrixRows(model: Model, df: DataFrame): Array[Int] =
-    model.matrix.rowsOfRids(df.select(Tables.Rid).collect().map(_.getLong(0)))
+    model.matrix.rowsOfRids(queryRids(df))
+
+  /** The `__rid`s of `df`. When every leaf of its plan is a local relation
+    * and Catalyst's optimizer has evaluated the plan into one
+    * (`ConvertToLocalRelation` folds filters and projections over
+    * [[Model.local]]), they are read from its rows, with no physical
+    * planning, execution events or `Row` decoding; any other plan is
+    * collected.
+    */
+  private[core] def queryRids(df: DataFrame): Array[Long] = {
+    def collected = df.select(Tables.Rid).collect().map(_.getLong(0))
+    if (!df.queryExecution.analyzed.collectLeaves().forall(_.isInstanceOf[LocalRelation])) return collected
+    df.queryExecution.optimizedPlan match {
+      case LocalRelation(output, data, false, _) if output.count(_.name == Tables.Rid) == 1 =>
+        val j = output.indexWhere(_.name == Tables.Rid)
+        val rid = output(j)
+        if (rid.dataType != LongType || rid.nullable && data.exists(_.isNullAt(j))) collected
+        else data.iterator.map(_.getLong(j)).toArray
+      case _ => collected
+    }
+  }
 
   /** Row-vectors (avg of cell vectors) -> k-means -> nearest-row centroids,
     * over the rows of a binned view (`binnedQ` must carry `__rid`; its rids
-    * are collected in one Spark job). Public, with [[columnVectors]], so
-    * that a select can be timed layer by layer.
+    * are read as [[queryRids]] reads them: one Spark job for a Spark frame).
+    * Public, with [[columnVectors]], so that a select can be timed layer by
+    * layer.
     */
   def rowsByCentroids(model: Model, binnedQ: DataFrame,
                       qCols: Seq[String], k: Int): Seq[Long] =
@@ -201,7 +236,7 @@ object SubTab {
   /** Column selection over matrix rows `rows`: the targets plus the picked
     * free columns, in the query's column order.
     */
-  private def selectCols(model: Model, rows: => Array[Int], qCols: Seq[String], l: Int,
+  private def selectCols(model: Model, rows: Array[Int], qCols: Seq[String], l: Int,
                          targets: Seq[String]): Seq[String] = {
     val free = qCols.filterNot(targets.contains)
     val want = l - targets.size

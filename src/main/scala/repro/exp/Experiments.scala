@@ -104,25 +104,28 @@ object Experiments {
             val rawView = q.apply(ctx.model.original) // NC clusters raw data
             // NC's row selection is width-independent — compute once per query.
             val ncRows = repro.select.NaiveClustering.selectRows(rawView, qCols, K)
-            // Small scorer over (a sample of) the result for RAN's best-of.
-            // Spark samples each partition of the cached view, so which rows
-            // it keeps depends on the cache's partitioning.
-            val (view, _) = SubTab.queryView(ctx.model, Some(q.apply))
+            // Small scorer over (a sample of) the result for RAN's best-of:
+            // the result's rows of the model's matrix, or a Spark sample of
+            // the cached query view. Spark samples each partition of the
+            // cached view, so which rows it keeps depends on the cache's
+            // partitioning.
             val scorer =
-              if (n <= 3000) new Scorer(BinnedMatrix.collect(view, qCols), ctx.rules)
+              if (n <= 3000) new Scorer(ctx.model.matrix.slice(rows, qCols), ctx.rules)
               else {
-                val cached = view.cache()
+                val cached = SubTab.queryView(ctx.model, Some(q.apply))._1.cache()
                 val sample = cached.sample(withReplacement = false, 3000.0 / n, 113)
                 try new Scorer(BinnedMatrix.collect(sample, qCols), ctx.rules)
                 finally cached.unpersist()
               }
-            widths.foreach { w =>
+            // SubTab's row selection is width-independent too.
+            val stSubs = SubTab.select(ctx.model, rows, qCols, K, widths, Nil)
+            widths.zip(stSubs).foreach { case (w, stSub) =>
               val ncCols = repro.select.NaiveClustering.selectCols(rawView, qCols, w)
               val ran = RandomBaseline.run(scorer, K, w,
                 budgetMillis = 10000, maxIters = Algos.RanBudget().iters,
                 seed = rng.nextLong()).sub
               val subs = Seq(
-                "SubTab" -> SubTab.select(ctx.model, Some(q.apply), K, w, Nil),
+                "SubTab" -> stSub,
                 "NC" -> SubTable(ncRows, ncCols),
                 "RAN" -> ran)
               subs.foreach { case (algo, sub) =>

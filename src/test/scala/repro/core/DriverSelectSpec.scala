@@ -126,6 +126,83 @@ class DriverSelectSpec extends SparkSpec with PropSupport {
     sameAsSpark(fl, bigAirlines, withTargets = true)
   }
 
+  /** `queryRids` on the query over the local copy: its rids, in the order
+    * `collect` returns them, and the Spark jobs it ran.
+    */
+  def planRead(model: SubTab.Model, query: DataFrame => DataFrame): (Seq[Long], Seq[Long], Int) = {
+    val q = query(model.local)
+    var got: Array[Long] = null
+    val n = jobs { got = SubTab.queryRids(q) }
+    (got.toSeq, q.select(Tables.Rid).collect().map(_.getLong(0)).toSeq, n)
+  }
+
+  test("rids read from the folded plan equal collect's, with no Spark job") {
+    val (model, targets) = fl
+    val bm = model.binModel
+    val other = bm.vocabulary.find(t => Binning.tokenLabel(t) == "OTHER").get
+    val range = bm.vocabulary.find(t => Binning.tokenCol(t) == "DEPARTURE_DELAY" && Binning.tokenLabel(t) == "b1").get
+    val queries: Seq[(String, DataFrame => DataFrame)] = Seq(
+      "filter" -> (d => d.where(col("AIRLINE") === "AA")),
+      "projection" -> (d => d.select((Tables.Rid +: model.cols.take(9) :+ targets.head).map(col): _*)),
+      "filter and projection" -> (d => d.where(col(Tables.Rid) % 3 === 1).select(Tables.Rid, "AIRLINE")),
+      "empty result" -> (d => d.where(lit(false))),
+      "OTHER predicate" -> repro.eda.Query(Seq(repro.eda.Query.predicateFor(bm, other))).apply,
+      "range predicate" -> repro.eda.Query(Seq(repro.eda.Query.predicateFor(bm, range))).apply)
+    queries.foreach { case (what, query) =>
+      val (read, collected, n) = planRead(model, query)
+      assert(read == collected, what)
+      assert(n == 0, s"$what ran $n Spark jobs")
+    }
+    assert(planRead(model, queries(3)._2)._1.isEmpty)
+    assert(planRead(model, queries(4)._2)._1.nonEmpty)
+  }
+
+  test("a join on an aggregate takes the collect fallback and gives collect's rids") {
+    val (model, _) = fl
+    val q = bigAirlines.get(model.local)
+    assert(!q.select(Tables.Rid).queryExecution.optimizedPlan
+      .isInstanceOf[org.apache.spark.sql.catalyst.plans.logical.LocalRelation])
+    val (read, collected, n) = planRead(model, bigAirlines.get)
+    assert(read == collected && n > 0)
+  }
+
+  test("the matrix slice of a query's rows equals the collected query view") {
+    val (model, targets) = fl
+    val queries: Seq[DataFrame => DataFrame] = Seq(
+      d => d.where(col("AIRLINE") === "AA"),
+      d => d.where(col(Tables.Rid) % 4 === 1).select((Tables.Rid +: targets :+ "MONTH").map(col): _*),
+      d => d.where(lit(false)))
+    queries.foreach { f =>
+      val (rows, qCols) = SubTab.queryRows(model, Some(f))
+      val slice = model.matrix.slice(rows, qCols)
+      val collected = BinnedMatrix.collect(SubTab.queryView(model, Some(f))._1, qCols)
+      assert(slice.rids.toSeq == collected.rids.toSeq && slice.cols.toSeq == collected.cols.toSeq)
+      assert(slice.tokens.toSeq == collected.tokens.toSeq)
+      assert(slice.codes.map(_.toSeq).toSeq == collected.codes.map(_.toSeq).toSeq)
+    }
+  }
+
+  test("the clusterer equals the plain one on the FL and CY row and column vectors at every shape") {
+    Seq(cy, fl).foreach { case (model, _) =>
+      val rows = SparkSelect.rowVectors(model, model.binned, model.cols).collect()
+        .map(r => (r.getLong(0), r.getAs[org.apache.spark.ml.linalg.Vector](1).toArray)).sortBy(_._1).map(_._2)
+      val cols = SubTab.columnVectors(model, model.binned, model.cols).sortBy(_._1)
+        .map(_._2.map(_.toDouble)).toArray
+      val seed = model.params.kmeansSeed
+      shapes.foreach { case (k, l) =>
+        Seq((rows, k, seed), (cols, l, seed + 1)).foreach { case (points, kk, s) =>
+          val reference = PlainLloyd.fit(points, kk, s)
+          val picks = PlainLloyd.representatives(points.length, points(_), reference).toSeq
+          (1 to 10).foreach { run =>
+            val centers = CentroidSelect.fit(points, kk, s)
+            assert(PlainLloyd.bits(centers) == PlainLloyd.bits(reference), s"k = $kk, run $run")
+            assert(CentroidSelect.representatives(points.length, points(_), centers).toSeq == picks)
+          }
+        }
+      }
+    }
+  }
+
   test("the local copy gives the same rids as the original for predicateFor queries") {
     val genTable: Gen[(Int, Seq[Row])] = for {
       nBins <- Gen.choose(2, 5)
